@@ -20,6 +20,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro._util import Box
 from repro.core.blocked import BlockedPrefixSumCube
 from repro.cube.hierarchy import month_hierarchy
 from repro.instrumentation import AccessCounter
@@ -49,7 +50,7 @@ def test_alignment_table(months, report, benchmark):
                 for label in labels:
                     lo, hi = months.level_range(level, label)
                     counter = AccessCounter()
-                    got = structure.sum_range([(lo, hi)], counter)
+                    got = structure.range_sum(Box((lo,), (hi,)), counter)
                     assert got == int(series[lo : hi + 1].sum())
                     cube_cells += counter.cube_cells
                     prefix_cells += counter.prefix_cells
@@ -99,5 +100,7 @@ def test_hierarchy_query_wall_time(months, benchmark):
         for label in months.labels("quarter")
     ]
     benchmark(
-        lambda: [structure.sum_range([(lo, hi)]) for lo, hi in ranges]
+        lambda: [
+            structure.range_sum(Box((lo,), (hi,))) for lo, hi in ranges
+        ]
     )

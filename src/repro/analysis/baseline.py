@@ -11,15 +11,12 @@ inline ``# cubelint: allow[...]`` suppressions instead.
 Key format
 ----------
 
-Keys used to be ``path:rule-id:line``, which meant any unrelated edit
-*above* a grandfathered finding silently un-baselined it — or worse,
-masked a brand-new violation that happened to land on the shifted line.
-Keys are now ``path:rule-id:h<hash>`` where the hash is a content hash
-of the flagged statement's source (:func:`~repro.analysis.engine.
+Keys are ``path:rule-id:h<hash>`` where the hash is a content hash of
+the flagged statement's source (:func:`~repro.analysis.engine.
 statement_fingerprint`): the identity follows the statement, not its
-line number.  Old-format entries are still *matched* (by line) so an
-existing baseline keeps working, and ``--write-baseline`` migrates them:
-regeneration always emits the new format.
+line number, so an unrelated edit *above* a grandfathered finding
+neither un-baselines it nor masks a new violation landing on its old
+line.
 """
 
 from __future__ import annotations
@@ -42,26 +39,16 @@ def baseline_key(violation: Violation) -> str:
     so the entry survives the statement moving to a different line but
     not the statement being edited — an edited grandfathered violation
     resurfaces for review instead of hiding forever.  Violations with no
-    fingerprint (synthetic, or anchored outside the file) fall back to
-    the line-keyed form.
+    fingerprint (synthetic, or anchored outside the file) have only
+    their line to go by.
     """
     if violation.fingerprint:
         return f"{violation.path}:{violation.rule_id}:h{violation.fingerprint}"
-    return legacy_baseline_key(violation)
-
-
-def legacy_baseline_key(violation: Violation) -> str:
-    """The pre-v2 ``path:rule-id:line`` key, kept for matching old files."""
     return f"{violation.path}:{violation.rule_id}:{violation.line}"
 
 
 def load_baseline(path: Path | str) -> set[str]:
-    """Read a baseline file; a missing file is an empty baseline.
-
-    Both key formats load as-is: matching (:func:`partition_baseline`)
-    accepts either, and the next ``--write-baseline`` migrates the file
-    wholesale to the new format.
-    """
+    """Read a baseline file; a missing file is an empty baseline."""
     file_path = Path(path)
     if not file_path.exists():
         return set()
@@ -71,12 +58,7 @@ def load_baseline(path: Path | str) -> set[str]:
 
 
 def write_baseline(path: Path | str, violations: list[Violation]) -> int:
-    """Write ``violations`` as the new baseline; returns the entry count.
-
-    Always emits context-hash keys — rewriting is how old line-keyed
-    entries migrate: the violations they grandfathered are re-found by
-    the run and re-recorded under their statement fingerprints.
-    """
+    """Write ``violations`` as the new baseline; returns the entry count."""
     entries = sorted({baseline_key(v) for v in violations})
     payload = {"version": _FORMAT_VERSION, "entries": entries}
     Path(path).write_text(
@@ -88,20 +70,11 @@ def write_baseline(path: Path | str, violations: list[Violation]) -> int:
 def partition_baseline(
     violations: list[Violation], baseline: set[str]
 ) -> tuple[list[Violation], list[Violation]]:
-    """Split findings into ``(new, grandfathered)`` against a baseline.
-
-    A finding is grandfathered when either its context-hash key or its
-    legacy line key appears in the baseline, so baselines written before
-    the key-format change keep suppressing the findings they recorded
-    until the next ``--write-baseline`` migrates them.
-    """
+    """Split findings into ``(new, grandfathered)`` against a baseline."""
     new: list[Violation] = []
     grandfathered: list[Violation] = []
     for violation in violations:
-        if (
-            baseline_key(violation) in baseline
-            or legacy_baseline_key(violation) in baseline
-        ):
+        if baseline_key(violation) in baseline:
             grandfathered.append(violation)
         else:
             new.append(violation)

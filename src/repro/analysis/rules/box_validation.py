@@ -13,7 +13,7 @@ validate before touching storage: either a direct call to
 ``check_query_box`` / ``normalize_query_arrays`` / ``validate_range``,
 or delegation to another method of the same class that validates
 (resolved as a fixpoint over the class's own call graph, so
-``sum_range → range_sum → _check_box → check_query_box`` passes).
+``range_sum → _check_box → check_query_box`` passes).
 
 Methods ending in ``_unchecked`` are exempt: that suffix is the
 protocol's documented pre-validated hook (``range_sum_unchecked``),

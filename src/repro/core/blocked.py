@@ -88,6 +88,56 @@ class _DimensionPlan:
     pieces: tuple[tuple[int, int, int, int, bool], ...]
 
 
+#: Batches with fewer rows than this loop the scalar ``range_sum``;
+#: larger ones take the vectorized pass.  Pinned from the K x box-size
+#: sweep tabulated in docs/KERNELS.md: the pass has a fixed cost over
+#: the ``3^d`` slots that the loop's per-row cost overtakes from here up.
+VECTORIZED_MIN_ROWS = 16
+
+
+def blocked_sum_dispatch(
+    structure: Any,
+    lo: np.ndarray,
+    hi: np.ndarray,
+    counter: AccessCounter,
+) -> np.ndarray:
+    """Batch range-sums for both blocked structures, by row count alone.
+
+    The one place that chooses between a blocked structure's two query
+    paths: the scalar §4.2 ``range_sum`` looped by the protocol mixin,
+    and the one-pass vectorized machinery of
+    :mod:`repro.kernels.boundary`.  Both give the same values and charge
+    ``counter`` identically; only their cost differs with ``K``.
+
+    Args:
+        structure: A blocked (partial) prefix-sum cube.
+        lo, hi: ``(K, d)`` bounds already through
+            ``normalize_query_arrays(..., allow_empty=True)``.
+        counter: Standard access counter.
+    """
+    from repro.kernels import blocked_sum_many_vectorized, resolve_kernel
+    from repro.query.batch import solve_with_identity
+
+    operator = structure.operator
+    if len(lo) < VECTORIZED_MIN_ROWS:
+        target = operator.accumulation_dtype(structure.blocked_prefix.dtype)
+
+        def solve(l: np.ndarray, h: np.ndarray) -> np.ndarray:
+            values = RangeSumIndexMixin.sum_many(structure, l, h, counter)
+            # Zero rows leave numpy nothing to infer the dtype from.
+            return values.astype(target, copy=False)
+
+    else:
+        kern = resolve_kernel(override=structure.kernel)
+
+        def solve(l: np.ndarray, h: np.ndarray) -> np.ndarray:
+            return blocked_sum_many_vectorized(
+                structure, l, h, kern, counter
+            )
+
+    return solve_with_identity(lo, hi, operator.identity, solve)
+
+
 def _sample_blocked_params(rng: np.random.Generator, shape: tuple[int, ...]) -> dict[str, Any]:
     """Draw a fuzzable blocking factor for a cube of ``shape``."""
     return {"block_size": int(rng.integers(1, 6))}
@@ -226,34 +276,13 @@ class BlockedPrefixSumCube(RangeSumIndexMixin):
             result = op.apply(result, value)
         return result
 
-    def sum_range(
-        self,
-        bounds: Sequence[tuple[int, int]],
-        counter: AccessCounter = NULL_COUNTER,
-    ) -> object:
-        """Convenience wrapper taking ``(lo, hi)`` pairs per dimension."""
-        return self.range_sum(
-            Box(tuple(lo for lo, _ in bounds), tuple(hi for _, hi in bounds)),
-            counter,
-        )
-
     def sum_many(
         self,
         lows: object,
         highs: object,
         counter: AccessCounter = NULL_COUNTER,
     ) -> np.ndarray:
-        """Answer ``K`` range-sums, vectorizing per the selected kernel.
-
-        The block-aligned internal region of every query (the all-middle
-        member of its ``3^d`` decomposition) is resolved for the whole
-        batch with a single gather on the blocked prefix array.  What
-        happens to the boundary regions depends on the resolved execution
-        kernel: backends with ``serial_boundaries`` (the ``numpy``
-        oracle) fall back to the scalar machinery query by query — the
-        historical code path, bit for bit — while the others run the
-        one-pass vectorized boundary machinery of
-        :mod:`repro.kernels.boundary`.
+        """Answer ``K`` range-sums (see :func:`blocked_sum_dispatch`).
 
         Args:
             lows: ``(K, d)`` inclusive lower bounds (array-like, ints).
@@ -264,34 +293,12 @@ class BlockedPrefixSumCube(RangeSumIndexMixin):
             A ``(K,)`` array of aggregates; empty rows (``hi < lo``)
             yield the operator identity.
         """
-        from repro.kernels import blocked_sum_many_vectorized, resolve_kernel
-        from repro.query.batch import (
-            blocked_sum_many,
-            normalize_query_arrays,
-            solve_with_identity,
-        )
+        from repro.query.batch import normalize_query_arrays
 
-        kern = resolve_kernel(override=self.kernel)
         lo, hi = normalize_query_arrays(
             lows, highs, self.shape, allow_empty=True
         )
-        if kern.serial_boundaries:
-            return solve_with_identity(
-                lo,
-                hi,
-                self.operator.identity,
-                lambda l, h: blocked_sum_many(
-                    self, l, h, counter, kernel=kern
-                ),
-            )
-        return solve_with_identity(
-            lo,
-            hi,
-            self.operator.identity,
-            lambda l, h: blocked_sum_many_vectorized(
-                self, l, h, kern, counter
-            ),
-        )
+        return blocked_sum_dispatch(self, lo, hi, counter)
 
     def total(self, counter: AccessCounter = NULL_COUNTER) -> object:
         """Aggregate of the entire cube."""

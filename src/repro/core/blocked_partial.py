@@ -31,6 +31,7 @@ from typing import TYPE_CHECKING, Any
 import numpy as np
 
 from repro._util import Box, box_difference, check_query_box
+from repro.core.blocked import blocked_sum_dispatch
 from repro.core.operators import SUM, InvertibleOperator
 from repro.core.prefix_sum import (
     DENSE_FUZZ_DTYPES,
@@ -71,12 +72,9 @@ def _sample_blocked_partial_params(
 class BlockedPartialPrefixSumCube(RangeSumIndexMixin):
     """Prefix sums blocked with factor ``b`` along a subset ``X'``.
 
-    ``sum_many`` routes through the execution-kernel layer: under a
-    kernel with ``serial_boundaries`` (the ``numpy`` oracle) it falls
-    back to the protocol mixin's scalar loop — the historical behaviour,
-    query by query — while the vectorizing backends answer the whole
-    batch through :func:`repro.kernels.blocked_sum_many_vectorized`,
-    reducing every boundary region of the batch in one
+    ``sum_many`` shares :func:`repro.core.blocked.blocked_sum_dispatch`
+    with the fully blocked cube: small batches loop :meth:`range_sum`,
+    larger ones reduce every boundary region of the batch in one
     ``np.add.reduceat``-style pass.
 
     Args:
@@ -253,30 +251,13 @@ class BlockedPartialPrefixSumCube(RangeSumIndexMixin):
             result = op.apply(result, value)
         return result
 
-    def sum_range(
-        self,
-        bounds: Sequence[tuple[int, int]],
-        counter: AccessCounter = NULL_COUNTER,
-    ) -> object:
-        """Convenience wrapper taking ``(lo, hi)`` pairs per dimension."""
-        return self.range_sum(
-            Box(tuple(lo for lo, _ in bounds), tuple(hi for _, hi in bounds)),
-            counter,
-        )
-
     def sum_many(
         self,
         lows: object,
         highs: object,
         counter: AccessCounter = NULL_COUNTER,
     ) -> np.ndarray:
-        """Answer ``K`` range-sums, vectorizing per the selected kernel.
-
-        Backends with ``serial_boundaries`` (the ``numpy`` oracle)
-        delegate to the protocol mixin's scalar loop — the historical
-        code path, bit for bit — while the others reduce every boundary
-        region of the batch in one pass through
-        :func:`repro.kernels.blocked_sum_many_vectorized`.
+        """Answer ``K`` range-sums (see :func:`blocked_sum_dispatch`).
 
         Args:
             lows: ``(K, d)`` inclusive lower bounds (array-like, ints).
@@ -287,26 +268,12 @@ class BlockedPartialPrefixSumCube(RangeSumIndexMixin):
             A ``(K,)`` array of aggregates; empty rows (``hi < lo``)
             yield the operator identity.
         """
-        from repro.kernels import blocked_sum_many_vectorized, resolve_kernel
-        from repro.query.batch import (
-            normalize_query_arrays,
-            solve_with_identity,
-        )
+        from repro.query.batch import normalize_query_arrays
 
-        kern = resolve_kernel(override=self.kernel)
-        if kern.serial_boundaries:
-            return super().sum_many(lows, highs, counter)
         lo, hi = normalize_query_arrays(
             lows, highs, self.shape, allow_empty=True
         )
-        return solve_with_identity(
-            lo,
-            hi,
-            self.operator.identity,
-            lambda l, h: blocked_sum_many_vectorized(
-                self, l, h, kern, counter
-            ),
-        )
+        return blocked_sum_dispatch(self, lo, hi, counter)
 
     def apply_updates(self, updates: Sequence[PointUpdate]) -> int:
         """Batch-update the structure (§5.2 along ``X'``, raw elsewhere).

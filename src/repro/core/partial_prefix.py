@@ -198,17 +198,6 @@ class PartialPrefixSumCube(RangeSumIndexMixin):
                 negative = op.apply(negative, value)
         return op.invert(positive, negative)
 
-    def sum_range(
-        self,
-        bounds: Sequence[tuple[int, int]],
-        counter: AccessCounter = NULL_COUNTER,
-    ) -> object:
-        """Convenience wrapper taking ``(lo, hi)`` pairs per dimension."""
-        return self.range_sum(
-            Box(tuple(lo for lo, _ in bounds), tuple(hi for _, hi in bounds)),
-            counter,
-        )
-
     def _batch_prefix_array(self) -> np.ndarray:
         """The full prefix array used by the batch path (lazily built).
 

@@ -255,17 +255,6 @@ class PrefixSumCube(RangeSumIndexMixin):
                 negative = op.apply(negative, value)
         return op.invert(positive, negative)
 
-    def sum_range(
-        self,
-        bounds: Sequence[tuple[int, int]],
-        counter: AccessCounter = NULL_COUNTER,
-    ) -> object:
-        """Convenience wrapper taking ``(lo, hi)`` pairs per dimension."""
-        return self.range_sum(
-            Box(tuple(lo for lo, _ in bounds), tuple(hi for _, hi in bounds)),
-            counter,
-        )
-
     def sum_many(
         self,
         lows: object,

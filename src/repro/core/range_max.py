@@ -323,17 +323,6 @@ class RangeMaxTree(RangeMaxIndexMixin):
         index = self.max_index(box, counter, use_branch_and_bound)
         return self.source[index]
 
-    def max_range(
-        self,
-        bounds: Sequence[tuple[int, int]],
-        counter: AccessCounter = NULL_COUNTER,
-    ) -> tuple[int, ...]:
-        """Convenience wrapper taking ``(lo, hi)`` pairs per dimension."""
-        return self.max_index(
-            Box(tuple(lo for lo, _ in bounds), tuple(hi for _, hi in bounds)),
-            counter,
-        )
-
     def global_max_index(
         self, counter: AccessCounter = NULL_COUNTER
     ) -> tuple[int, ...]:

@@ -21,7 +21,7 @@ measured, not just computed from the cost model:
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -105,17 +105,6 @@ class TreeSumHierarchy:
         """
         level, node = self._lowest_covering_node(box)
         return self._sum_region(level, node, box, counter)
-
-    def sum_range(
-        self,
-        bounds: Sequence[tuple[int, int]],
-        counter: AccessCounter = NULL_COUNTER,
-    ) -> object:
-        """Convenience wrapper taking ``(lo, hi)`` pairs per dimension."""
-        return self.range_sum(
-            Box(tuple(lo for lo, _ in bounds), tuple(hi for _, hi in bounds)),
-            counter,
-        )
 
     def total(self, counter: AccessCounter = NULL_COUNTER) -> object:
         """Aggregate of the entire cube (one root access)."""

@@ -23,12 +23,13 @@ import numpy as np
 
 from repro.cube.builder import build_measure_array
 from repro.cube.dimensions import Dimension, dimension_shape
+from repro.index.registry import IndexSpec
 from repro.instrumentation import NULL_COUNTER, AccessCounter
 from repro.query.engine import RangeQueryEngine
 from repro.query.ranges import RangeQuery, RangeSpec
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.index import ArrayBackend, IndexSpec
+    from repro.index import ArrayBackend
 
 
 class DataCube:
@@ -122,17 +123,27 @@ class DataCube:
         Returns:
             The engine (also retained on the cube for the query methods).
         """
-        from repro.query.engine import _legacy_max_spec, _legacy_sum_spec
-
         if sum_index is None:
-            dims = (
-                None
-                if prefix_dims is None
-                else tuple(self._by_name[name] for name in prefix_dims)
-            )
-            sum_index = _legacy_sum_spec(block_size, dims)
-        if max_index is None:
-            max_index = _legacy_max_spec(max_fanout)
+            if prefix_dims is not None and block_size != 1:
+                raise ValueError(
+                    "prefix_dims and block_size > 1 cannot combine; pick "
+                    "the §9.1 subset design or the §4 blocked design"
+                )
+            if prefix_dims is not None:
+                sum_index = IndexSpec.of(
+                    "partial_prefix_sum",
+                    prefix_dims=tuple(
+                        self._by_name[name] for name in prefix_dims
+                    ),
+                )
+            elif block_size != 1:
+                sum_index = IndexSpec.of(
+                    "blocked_prefix_sum", block_size=block_size
+                )
+            else:
+                sum_index = IndexSpec.of("prefix_sum")
+        if max_index is None and max_fanout is not None:
+            max_index = IndexSpec.of("range_max_tree", fanout=max_fanout)
         self._engine = RangeQueryEngine(
             self.measures,
             sum_index=sum_index,

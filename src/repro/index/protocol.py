@@ -18,7 +18,9 @@ entry points.  In particular ``query_many`` delegates to ``sum_many``,
 and the mixin's ``sum_many`` default *loops the scalar path* — so every
 structure gains batch support for free, and the vectorized kernels of
 :mod:`repro.query.batch` become per-class overrides rather than special
-cases the engine must know about.
+cases the engine must know about.  A structure's scalar ``range_sum``
+(with :mod:`repro.query.naive`) is also the reference its batch override
+is tested against.
 
 :class:`InstrumentedIndex` is the access-counter wrapper: it binds an
 :class:`~repro.instrumentation.AccessCounter` to an index once, so

@@ -14,9 +14,8 @@ their exact dtype (they are stored as-is in the ``.npz``); scalar
 parameters travel in a JSON side-channel, so ``block_size``, operators,
 and fanouts are preserved exactly.
 
-The pre-registry per-class helpers (``save_prefix_sum`` /
-``load_blocked`` / ...) remain as thin wrappers; they also still read
-archives written in the old per-class format.
+The per-class helpers (``save_prefix_sum`` / ``load_blocked`` / ...)
+are thin typed wrappers that also check the archive's registry name.
 
 Two persistence shapes coexist:
 
@@ -60,14 +59,6 @@ if TYPE_CHECKING:  # pragma: no cover
 #: Archive format identifier and version, checked on load.
 _FORMAT_KEY = "repro_format"
 _INDEX_FORMAT_VERSION = 1
-#: Pre-registry archive kinds (each matched its structure 1:1); their
-#: payload keys coincide with today's ``state_dict`` keys, so they load
-#: through the same ``from_state`` path.
-_LEGACY_KINDS = {
-    "prefix_sum": 1,
-    "blocked_prefix_sum": 1,
-    "range_max_tree": 1,
-}
 
 
 def save_index(
@@ -121,8 +112,7 @@ def load_index(
     """Load any index archive without recomputation.
 
     Args:
-        path: Archive written by :func:`save_index` (or by one of the
-            pre-registry per-class savers).
+        path: Archive written by :func:`save_index`.
         backend: Array backend the restored arrays are materialized
             into; pass a :class:`~repro.index.MemmapBackend` to serve a
             structure larger than RAM straight from its spill files.
@@ -134,31 +124,17 @@ def load_index(
         if _FORMAT_KEY not in archive:
             raise ValueError("not a repro structure archive")
         kind, version = str(archive[_FORMAT_KEY]).split(":")
-        if kind == "index":
-            if int(version) > _INDEX_FORMAT_VERSION:
-                raise ValueError(
-                    f"unsupported index archive version {version}"
-                )
-            name = str(archive["index_name"])
-            state: dict[str, object] = dict(
-                json.loads(str(archive["meta"]))
-            )
-            for key in archive.files:
-                if key.startswith("arr_"):
-                    state[key[len("arr_"):]] = archive[key]
-        elif kind in _LEGACY_KINDS:
-            if int(version) > _LEGACY_KINDS[kind]:
-                raise ValueError(
-                    f"unsupported {kind} archive version {version}"
-                )
-            name = kind
-            state = {
-                key: archive[key]
-                for key in archive.files
-                if key != _FORMAT_KEY
-            }
-        else:
+        if kind != "index":
             raise ValueError(f"unknown archive kind {kind!r}")
+        if int(version) > _INDEX_FORMAT_VERSION:
+            raise ValueError(
+                f"unsupported index archive version {version}"
+            )
+        name = str(archive["index_name"])
+        state: dict[str, object] = dict(json.loads(str(archive["meta"])))
+        for key in archive.files:
+            if key.startswith("arr_"):
+                state[key[len("arr_"):]] = archive[key]
     info = get_index_info(name)
     return info.cls.from_state(state, backend=backend)
 
@@ -318,7 +294,7 @@ def _load_expecting(
     path: str | os.PathLike | BinaryIO,
     backend: ArrayBackend | None = None,
 ) -> object:
-    """Generic load + registry-name check (the legacy wrappers' guard)."""
+    """Generic load + registry-name check (the typed wrappers' guard)."""
     index = load_index(path, backend=backend)
     name = index_info_for(index).name
     if name != expected:

@@ -7,9 +7,8 @@ precedence (call site > per-index override > ``$REPRO_KERNEL`` >
 
 Importing this package registers the shipped backends:
 
-* ``numpy`` — the factored-out historical path; the correctness oracle;
-* ``threaded`` — shard-and-combine over a worker pool, with the
-  vectorized blocked-boundary pass;
+* ``numpy`` — the serial primitives; the default;
+* ``threaded`` — the same primitives sharded over a worker pool;
 * ``numba`` — JIT segment reduce when numba is importable, silently the
   numpy path otherwise;
 * ``auto`` — ``threaded`` on multi-core hosts, ``numpy`` on single-core.

@@ -1,11 +1,11 @@
 """One-pass vectorized boundary machinery for the blocked structures.
 
-The historical blocked query path answers each query's boundary regions
-with per-query Python: plan the ``3^{d'}`` decomposition, pick method 1
-(scan the region) or method 2 (superblock minus complement) per region,
-and reduce each scan with a separate ``reduce_box`` call.  That loop is
-the dominant cost of ``sum_many`` on blocked structures — ``K`` queries
-pay the interpreter ``K · 3^{d'}`` times.
+The scalar ``range_sum`` of a blocked structure answers one query's
+boundary regions in Python: plan the ``3^{d'}`` decomposition, pick
+method 1 (scan the region) or method 2 (superblock minus complement) per
+region, and reduce each scan with a separate ``reduce_box`` call.
+Looped over a batch, ``K`` queries pay the interpreter ``K · 3^{d'}``
+times.
 
 This module evaluates the *entire batch* in a constant number of array
 passes:
@@ -22,15 +22,17 @@ passes:
    :func:`repro._util.box_difference`, but for all affected queries at
    once;
 4. every raw-cube scan this produces — across all queries, combos and
-   complement pieces — lands in one flat list of boxes, reduced in a
-   single :func:`box_reduce_many` pass (gather + ``ufunc.reduceat``
-   through the kernel's ``segment_reduce``);
+   complement pieces — lands in one flat list of boxes, reduced by one
+   :func:`box_reduce_many` call (gather + ``ufunc.reduceat`` through the
+   kernel's ``segment_reduce``, in slices of bounded size);
 5. per-query contributions are folded with ``ufunc.at`` into positive /
    negative accumulators and combined once with ``⊖``.
 
 Access counting is preserved exactly: the same ``prefix_cells`` /
-``cube_cells`` totals are charged as the scalar loop would charge, so
-instrumented comparisons hold across kernels.
+``cube_cells`` totals are charged as the scalar loop would charge.  The
+pass costs a fixed ~0.5 ms over the slots whatever ``K`` is, so
+:func:`repro.core.blocked.blocked_sum_dispatch` sends only batches of
+enough rows here.
 """
 
 from __future__ import annotations
@@ -43,6 +45,16 @@ from repro.core.operators import InvertibleOperator
 from repro.instrumentation import NULL_COUNTER, AccessCounter
 from repro.kernels.protocol import ExecutionKernel
 from repro.kernels.segments import exclusive_offsets
+
+
+#: Most raw cells one slice of a batch's run list may cover.  The
+#: gather behind ``segment_reduce`` holds ~36 B of index, offset and
+#: value buffers per scanned cell, so a batch's transient memory is
+#: ~2.4 MB however many cells it scans (a single run longer than this,
+#: i.e. a longer last axis, is still one slice).  Slices this size also
+#: stay cache-resident: 256 boxes of the e2e cube take 46 ms at 2^16,
+#: 56 ms at 2^18 and 72 ms unsliced.
+MAX_SCAN_CELLS = 1 << 16
 
 
 def c_strides(shape: tuple[int, ...]) -> np.ndarray:
@@ -63,10 +75,11 @@ def box_reduce_many(
     """Reduce ``n`` axis-aligned boxes of one array in a single pass.
 
     Each box is expanded into its contiguous last-axis runs (one run per
-    row of the box), all runs of all boxes are reduced together through
-    the kernel's ``segment_reduce``, and per-box totals come from a
-    second ``reduceat`` over the run aggregates.  Boxes may appear in any
-    order and overlap freely.  The caller owns counter accounting.
+    row of the box), the runs of all boxes are reduced together through
+    the kernel's ``segment_reduce`` in slices of at most
+    :data:`MAX_SCAN_CELLS` cells, and per-box totals come from a second
+    ``reduceat`` over each slice's run aggregates.  Boxes may appear in
+    any order and overlap freely.  The caller owns counter accounting.
 
     Args:
         array: The source array (C-ordered; backends materialize C
@@ -100,24 +113,46 @@ def box_reduce_many(
         else np.ones(n, dtype=np.int64)
     )
     box_offsets = exclusive_offsets(runs_per_box)
+    cell_offsets = exclusive_offsets(runs_per_box * run_length)
     total_runs = int(runs_per_box.sum())
-    box_of_run = np.repeat(np.arange(n, dtype=np.int64), runs_per_box)
-    # Mixed-radix decode of each run's rank within its box: the rank
-    # counts row-major over the leading d−1 extents, so peeling from the
-    # last leading axis upward recovers per-axis offsets.
-    rank = np.arange(total_runs, dtype=np.int64) - np.repeat(
-        box_offsets, runs_per_box
-    )
-    starts = base[box_of_run].copy()
-    remainder = rank
-    for j in range(array.ndim - 2, -1, -1):
-        axis_extent = extents[box_of_run, j]
-        starts += (remainder % axis_extent) * strides[j]
-        remainder = remainder // axis_extent
-    run_values = kernel.segment_reduce(
-        flat, starts, run_length[box_of_run], operator
-    )
-    return apply_ufunc.reduceat(run_values, box_offsets, dtype=target)
+    out = np.full(n, operator.identity, dtype=target)
+    # The run list is generated and reduced one slice of the global run
+    # sequence at a time (see MAX_SCAN_CELLS): a slice ends at the last
+    # run that keeps it within the cap, and always holds at least one.
+    first, scanned = 0, 0
+    while first < total_runs:
+        budget = scanned + MAX_SCAN_CELLS
+        box = int(np.searchsorted(cell_offsets, budget, "right")) - 1
+        stop = int(
+            box_offsets[box]
+            + (budget - cell_offsets[box]) // run_length[box]
+        )
+        stop = min(max(stop, first + 1), total_runs)
+        runs = np.arange(first, stop, dtype=np.int64)
+        box_of_run = np.searchsorted(box_offsets, runs, "right") - 1
+        # Mixed-radix decode of each run's rank within its box: the rank
+        # counts row-major over the leading d-1 extents, so peeling from
+        # the last leading axis upward recovers per-axis offsets.
+        remainder = runs - box_offsets[box_of_run]
+        starts = base[box_of_run]
+        for j in range(array.ndim - 2, -1, -1):
+            axis_extent = extents[box_of_run, j]
+            starts += (remainder % axis_extent) * strides[j]
+            remainder //= axis_extent
+        lengths = run_length[box_of_run]
+        run_values = kernel.segment_reduce(flat, starts, lengths, operator)
+        # A slice covers a contiguous range of boxes; the first and last
+        # may continue in a neighbouring slice, so fold, don't assign.
+        lo_box, hi_box = int(box_of_run[0]), int(box_of_run[-1]) + 1
+        folded = apply_ufunc.reduceat(
+            run_values,
+            np.maximum(box_offsets[lo_box:hi_box] - first, 0),
+            dtype=target,
+        )
+        out[lo_box:hi_box] = apply_ufunc(out[lo_box:hi_box], folded)
+        first = stop
+        scanned += int(lengths.sum())
+    return out
 
 
 def _aligned_many(
@@ -217,9 +252,7 @@ def blocked_sum_many_vectorized(
     dimensions chosen) and
     :class:`~repro.core.blocked_partial.BlockedPartialPrefixSumCube`
     (chosen subset + passive slabs).  Results and access-counter totals
-    match the scalar decomposition exactly — this is the
-    ``serial_boundaries = False`` fast path the ``threaded`` and
-    ``numba`` kernels select.
+    match the scalar decomposition exactly, under every backend.
 
     Args:
         structure: A blocked (partial) prefix-sum cube.

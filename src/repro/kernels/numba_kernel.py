@@ -6,10 +6,10 @@ compiled loop for additive reductions over numeric dtypes — the one
 primitive where a compiled loop beats ``reduceat`` (no gather buffer, no
 index expansion).  Everything else, and every non-JIT-able combination
 (xor/product operators, bool/object dtypes), delegates to the serial
-numpy oracle.
+numpy backend.
 
 When numba is absent the backend still registers and works: it *is* the
-numpy oracle with a different name and ``jit_active = False``.  The
+numpy backend with a different name and ``jit_active = False``.  The
 degradation is silent by design — no warnings — so CI can run the
 no-numba leg under ``PYTHONWARNINGS=error`` and prove the fallback path
 is warning-clean.
@@ -42,13 +42,12 @@ def numba_available() -> bool:
 @register_kernel(
     "numba",
     description="JIT-compiled segment reduce when numba is importable; "
-    "degrades silently to the numpy oracle otherwise",
+    "degrades silently to the numpy backend otherwise",
 )
 class NumbaKernel(NumpyKernel):
     """Numba-accelerated backend with a graceful numpy fallback."""
 
     name = "numba"
-    serial_boundaries = False
 
     def __init__(self) -> None:
         self.jit_active = numba_available()

@@ -1,11 +1,9 @@
-"""The ``numpy`` backend: the historical code path, factored out.
+"""The ``numpy`` backend: the three primitives, single-threaded.
 
-This is the correctness oracle every other backend is differentially
-fuzzed and benchmarked against.  It is intentionally boring: the corner
-primitives are exactly the ones :mod:`repro.query.batch` always used,
-and ``serial_boundaries`` is True, so blocked structures keep their
-historical per-query boundary loops — an unconfigured process computes
-bit-for-bit what it did before the kernel layer existed.
+The default backend, and the serial delegate the ``threaded`` and
+``numba`` backends run per shard or fall back to.  It is intentionally
+boring: one fancy-indexed gather per corner batch, one
+gather + ``ufunc.reduceat`` per run list, one ``ufunc.at`` per scatter.
 """
 
 from __future__ import annotations
@@ -24,14 +22,13 @@ from repro.kernels.segments import scatter_serial, segment_reduce_serial
 
 @register_kernel(
     "numpy",
-    description="single-threaded numpy; the factored-out historical "
-    "path and the correctness oracle",
+    description="single-threaded numpy; the default and the serial "
+    "delegate of the other backends",
 )
 class NumpyKernel:
     """Serial numpy implementation of the three kernel primitives."""
 
     name = "numpy"
-    serial_boundaries = True
 
     def corner_gather(
         self,

@@ -15,14 +15,12 @@ all the machine time goes:
 :class:`ExecutionKernel` is the contract for a backend implementing those
 three primitives.  Structures never import a concrete backend; they call
 :func:`repro.kernels.resolve_kernel` and go through this surface, so the
-``numpy`` oracle, the ``threaded`` shard-and-combine pool and the
-optional ``numba`` JIT all plug in behind the same three methods.
-
-A kernel also declares ``serial_boundaries``: ``True`` means blocked
-structures should keep their historical per-query boundary loop (the
-``numpy`` oracle — bit-for-bit the pre-kernel code path), ``False``
-means they should run the one-pass vectorized boundary machinery of
-:mod:`repro.kernels.boundary`.
+serial ``numpy`` primitives, the ``threaded`` shard-and-combine pool and
+the optional ``numba`` JIT all plug in behind the same three methods.
+A backend decides *how* a primitive runs, never *which* algorithm a
+structure uses: every backend must return bit-identical values and
+charge the counter identically (the references are
+:mod:`repro.query.naive` and each structure's scalar ``range_sum``).
 """
 
 from __future__ import annotations
@@ -41,10 +39,6 @@ class ExecutionKernel(Protocol):
 
     #: Registry name of the backend (``"numpy"``, ``"threaded"``, ...).
     name: str
-
-    #: True when blocked structures should keep the scalar per-query
-    #: boundary loop instead of the vectorized one-pass machinery.
-    serial_boundaries: bool
 
     def corner_gather(
         self,

@@ -9,9 +9,7 @@ that name.  Selection follows a fixed precedence, most specific first:
    from :class:`repro.index.protocol._IndexBase`, also settable through
    :class:`~repro.query.engine.RangeQueryEngine`'s ``kernel=`` kwarg);
 3. the ``REPRO_KERNEL`` environment variable;
-4. the default, ``"numpy"`` — the factored-out historical code path, so
-   an unconfigured process behaves bit-for-bit as before the kernel
-   layer existed.
+4. the default, ``"numpy"`` — the serial primitives.
 
 Kernel instances are created lazily and cached per name: backends are
 long-lived (the threaded backend owns a worker pool), so one instance
@@ -29,7 +27,7 @@ from repro.kernels.protocol import ExecutionKernel
 #: Environment variable consulted by :func:`resolve_kernel` (step 3).
 ENV_KERNEL = "REPRO_KERNEL"
 
-#: The backend an unconfigured process runs on (the correctness oracle).
+#: The backend an unconfigured process runs on.
 DEFAULT_KERNEL = "numpy"
 
 

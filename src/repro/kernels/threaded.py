@@ -14,12 +14,6 @@ pinned via ``REPRO_KERNEL_WORKERS`` (benchmarks set it explicitly so
 speedup numbers are reproducible across runners); it defaults to
 ``os.cpu_count()``.
 
-``serial_boundaries`` is False: blocked structures route their boundary
-regions through the one-pass vectorized machinery of
-:mod:`repro.kernels.boundary` instead of per-query Python loops — on
-single-core hosts that vectorization, not thread parallelism, is where
-this backend's speedup comes from (see docs/KERNELS.md).
-
 Scatter stays serial: duplicate-index updates must apply sequentially,
 and partitioning indices by shard would cost more than the scatter.
 """
@@ -62,13 +56,12 @@ def _env_workers() -> int | None:
 @register_kernel(
     "threaded",
     description="shard-and-combine worker pool over the serial numpy "
-    "primitives, with vectorized blocked boundaries",
+    "primitives",
 )
 class ThreadedKernel:
     """Shard-and-combine execution over a lazy thread pool."""
 
     name = "threaded"
-    serial_boundaries = False
 
     def __init__(
         self,

@@ -224,98 +224,6 @@ def prefix_sum_many(
 
 
 # ----------------------------------------------------------------------
-# Blocked structures: vectorized internal region, per-query boundaries
-# ----------------------------------------------------------------------
-
-
-def blocked_sum_many(
-    structure: object,
-    lows: np.ndarray,
-    highs: np.ndarray,
-    counter: AccessCounter = NULL_COUNTER,
-    kernel: object | None = None,
-) -> np.ndarray:
-    """Batch range-sums for :class:`BlockedPrefixSumCube` (§4).
-
-    The block-aligned internal region of every query (the all-middle
-    member of the ``3^d`` decomposition) maps to Theorem 1 on the
-    *blocked* prefix array, so all ``K`` internal regions are resolved
-    with one :func:`prefix_sum_many` gather.  Boundary regions depend on
-    per-query raw-cube scans of varying shape and fall back to the scalar
-    machinery query by query.
-
-    This is the ``serial_boundaries`` oracle path; kernels that clear
-    that flag route to
-    :func:`repro.kernels.blocked_sum_many_vectorized` instead (the
-    structure's ``sum_many`` makes that choice).
-
-    Args:
-        structure: A ``BlockedPrefixSumCube`` (duck-typed: needs
-            ``block_size``, ``shape``, ``operator``, ``blocked_prefix``,
-            ``_plan_dimension`` and ``_boundary_region_sum``).
-        lows: Validated ``(K, d)`` lower bounds.
-        highs: Validated ``(K, d)`` upper bounds.
-        counter: Standard access counter.
-        kernel: Execution backend for the internal-region gather.
-
-    Returns:
-        A ``(K,)`` array of aggregates.
-    """
-    from itertools import product
-
-    op = structure.operator
-    b = structure.block_size
-    K, ndim = lows.shape
-    if K == 0:
-        return np.empty(0, dtype=structure.blocked_prefix.dtype)
-    # Per-dimension aligned bounds: l' = b⌈lo/b⌉, h' = b⌊hi/b⌋ (§4.2).
-    low_up = -(-lows // b) * b
-    high_down = (highs // b) * b
-    internal_dims = low_up < high_down  # case 1 per dimension
-    has_internal = internal_dims.all(axis=1)
-    internal_values = np.zeros(K, dtype=structure.blocked_prefix.dtype)
-    if np.any(has_internal):
-        block_lo = low_up[has_internal] // b
-        block_hi = high_down[has_internal] // b - 1
-        internal_values[has_internal] = prefix_sum_many(
-            structure.blocked_prefix,
-            block_lo,
-            block_hi,
-            op,
-            counter,
-            kernel=kernel,
-        )
-    results: list[object] = []
-    for k in range(K):
-        plans = [
-            structure._plan_dimension(int(lo), int(hi), n)
-            for lo, hi, n in zip(lows[k], highs[k], structure.shape)
-        ]
-        value = (
-            internal_values[k] if has_internal[k] else op.identity
-        )
-        for combo in product(*(plan.pieces for plan in plans)):
-            if all(piece[4] for piece in combo):
-                continue  # the internal region: already gathered above
-            region = Box(
-                tuple(piece[0] for piece in combo),
-                tuple(piece[1] for piece in combo),
-            )
-            if region.is_empty:
-                continue
-            superblock = Box(
-                tuple(piece[2] for piece in combo),
-                tuple(piece[3] for piece in combo),
-            )
-            value = op.apply(
-                value,
-                structure._boundary_region_sum(region, superblock, counter),
-            )
-        results.append(value)
-    return np.asarray(results)
-
-
-# ----------------------------------------------------------------------
 # Batched MAX / MIN: shared-frontier tree descent
 # ----------------------------------------------------------------------
 

@@ -15,16 +15,10 @@ It also derives the aggregate family the paper reduces to SUM and MAX:
 * ``MIN`` is a MAX over the negated cube;
 * ``ROLLING SUM`` / ``ROLLING AVERAGE`` are range-sum/average specials
   (a window sliding along one dimension).
-
-The historical structure-selection kwargs (``block_size``,
-``max_fanout``, ``prefix_dims``) still work but emit
-``DeprecationWarning``; they are translated to registry specs by
-:func:`_legacy_sum_spec` / :func:`_legacy_max_spec` and nowhere else.
 """
 
 from __future__ import annotations
 
-import warnings
 from collections.abc import Iterator, Sequence
 from typing import Any
 
@@ -37,9 +31,9 @@ from repro.index.registry import IndexSpec
 from repro.instrumentation import NULL_COUNTER, AccessCounter
 from repro.query.ranges import RangeQuery, canonical_box
 
-#: Sentinel distinguishing "not passed" from an explicit legacy value, so
-#: default construction stays warning-free.
-_UNSET = object()
+#: The structures an engine builds when none is named.
+DEFAULT_SUM_INDEX = IndexSpec.of("prefix_sum")
+DEFAULT_MAX_INDEX = IndexSpec.of("range_max_tree", fanout=4)
 
 #: The aggregates the routing table serves.
 AGGREGATES = ("sum", "count", "max", "min")
@@ -103,35 +97,6 @@ def _as_spec(index: str | IndexSpec, params: dict[str, Any] | None) -> IndexSpec
     return IndexSpec.of(str(index), **(params or {}))
 
 
-def _legacy_sum_spec(
-    block_size: int, prefix_dims: Sequence[int] | None
-) -> IndexSpec:
-    """The deprecation shim: map pre-registry kwargs to a sum spec.
-
-    This function (with :func:`_legacy_max_spec`) is the *only* place the
-    engine knows which structure a legacy kwarg combination meant.
-    """
-    if prefix_dims is not None and block_size != 1:
-        raise ValueError(
-            "prefix_dims and block_size > 1 cannot combine; pick the "
-            "§9.1 subset design or the §4 blocked design"
-        )
-    if prefix_dims is not None:
-        return IndexSpec.of(
-            "partial_prefix_sum", prefix_dims=tuple(prefix_dims)
-        )
-    if block_size != 1:
-        return IndexSpec.of("blocked_prefix_sum", block_size=block_size)
-    return IndexSpec.of("prefix_sum")
-
-
-def _legacy_max_spec(max_fanout: int | None) -> IndexSpec | None:
-    """The deprecation shim for the max side: fanout → tree spec."""
-    if max_fanout is None:
-        return None
-    return IndexSpec.of("range_max_tree", fanout=max_fanout)
-
-
 class RangeQueryEngine:
     """Answer range SUM / COUNT / AVERAGE / MAX / MIN queries over a cube.
 
@@ -143,9 +108,9 @@ class RangeQueryEngine:
         sum_params: Extra construction params for ``sum_index``
             (merged over the spec's own params).
         max_index: Registry name or spec of the range-max structure
-            (default ``"range_max_tree"``); pass ``None`` to skip building
-            the max/min side.  The same spec over the negated cube serves
-            MIN.
+            (default ``"range_max_tree"`` with fanout 4); pass ``None``
+            to skip building the max/min side.  The same spec over the
+            negated cube serves MIN.
         max_params: Extra construction params for ``max_index``.
         counts: Optional cube of record counts per cell.  When given,
             ``count`` and ``average`` queries are answered from its own
@@ -161,30 +126,19 @@ class RangeQueryEngine:
             per-index override on every sum-family structure the engine
             builds; ``None`` defers to ``$REPRO_KERNEL`` and the
             registry default.
-        block_size: **Deprecated** — use
-            ``sum_index=IndexSpec.of("blocked_prefix_sum", block_size=b)``.
-        max_fanout: **Deprecated** — use
-            ``max_index=IndexSpec.of("range_max_tree", fanout=b)`` or
-            ``max_index=None``.
-        prefix_dims: **Deprecated** — use
-            ``sum_index=IndexSpec.of("partial_prefix_sum",
-            prefix_dims=dims)``.
     """
 
     def __init__(
         self,
         cube: np.ndarray,
-        sum_index: str | IndexSpec | None = None,
+        sum_index: str | IndexSpec = DEFAULT_SUM_INDEX,
         sum_params: dict[str, Any] | None = None,
-        max_index: str | IndexSpec | None = _UNSET,
+        max_index: str | IndexSpec | None = DEFAULT_MAX_INDEX,
         max_params: dict[str, Any] | None = None,
         counts: np.ndarray | None = None,
         backend: ArrayBackend | None = None,
         counter: AccessCounter | None = None,
         kernel: object | None = None,
-        block_size: object = _UNSET,
-        max_fanout: object = _UNSET,
-        prefix_dims: object = _UNSET,
     ) -> None:
         cube = np.asarray(cube)
         self.shape = tuple(int(n) for n in cube.shape)
@@ -192,51 +146,16 @@ class RangeQueryEngine:
         self.counter = NULL_COUNTER if counter is None else counter
         self.kernel = kernel
 
-        legacy_sum = block_size is not _UNSET or prefix_dims is not _UNSET
-        if legacy_sum:
-            warnings.warn(
-                "block_size/prefix_dims are deprecated; pass "
-                "sum_index=IndexSpec.of(...) instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            if sum_index is not None:
-                raise ValueError(
-                    "cannot combine sum_index with the deprecated "
-                    "block_size/prefix_dims kwargs"
-                )
-        effective_block = 1 if block_size is _UNSET else int(block_size)
-        effective_dims = None if prefix_dims is _UNSET else prefix_dims
-        if sum_index is None:
-            sum_spec = _legacy_sum_spec(effective_block, effective_dims)
-        else:
-            sum_spec = _as_spec(sum_index, sum_params)
+        sum_spec = _as_spec(sum_index, sum_params)
         if sum_spec.kind != "sum":
             raise ValueError(
                 f"sum_index must name a 'sum' index, "
                 f"{sum_spec.name!r} is {sum_spec.kind!r}"
             )
 
-        if max_fanout is not _UNSET:
-            warnings.warn(
-                "max_fanout is deprecated; pass "
-                "max_index=IndexSpec.of('range_max_tree', fanout=b) or "
-                "max_index=None instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            if max_index is not _UNSET:
-                raise ValueError(
-                    "cannot combine max_index with the deprecated "
-                    "max_fanout kwarg"
-                )
-            max_spec = _legacy_max_spec(max_fanout)  # type: ignore[arg-type]
-        elif max_index is _UNSET:
-            max_spec = _legacy_max_spec(4)
-        elif max_index is None:
-            max_spec = None
-        else:
-            max_spec = _as_spec(max_index, max_params)
+        max_spec = (
+            None if max_index is None else _as_spec(max_index, max_params)
+        )
         if max_spec is not None and max_spec.kind != "max":
             raise ValueError(
                 f"max_index must name a 'max' index, "
@@ -289,53 +208,6 @@ class RangeQueryEngine:
             for name, route in self._routes.items()
             if route is not None
         }
-
-    # ------------------------------------------------------------------
-    # Deprecated structure attributes (pre-registry private surface)
-    # ------------------------------------------------------------------
-
-    def _deprecated_route(self, old: str, aggregate: str) -> object:
-        warnings.warn(
-            f"RangeQueryEngine.{old} is deprecated; use "
-            f"engine.route({aggregate!r}) instead",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        route = self._routes[aggregate]
-        return None if route is None else route.index
-
-    @property
-    def _sum_index(self) -> object:
-        """Deprecated alias for ``route("sum")``'s wrapped structure."""
-        return self._deprecated_route("_sum_index", "sum")
-
-    @property
-    def _count_index(self) -> object:
-        """Deprecated alias for ``route("count")``'s wrapped structure."""
-        return self._deprecated_route("_count_index", "count")
-
-    @property
-    def _max_tree(self) -> object:
-        """Deprecated alias for ``route("max")``'s wrapped structure."""
-        return self._deprecated_route("_max_tree", "max")
-
-    @property
-    def _min_tree(self) -> object:
-        """Deprecated alias for ``route("min")``'s wrapped structure."""
-        return self._deprecated_route("_min_tree", "min")
-
-    @property
-    def block_size(self) -> int:
-        """Deprecated: the sum structure's block size (1 when unblocked)."""
-        warnings.warn(
-            "RangeQueryEngine.block_size is deprecated; read "
-            "engine.sum_spec instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        route = self._routes["sum"]
-        assert route is not None
-        return int(getattr(route, "block_size", 1))
 
     # ------------------------------------------------------------------
     # Scalar query path

@@ -27,6 +27,7 @@ import numpy as np
 
 from repro._util import Box
 from repro.core.batch_update import PointUpdate
+from repro.core.blocked import VECTORIZED_MIN_ROWS
 from repro.core.operators import get_operator
 from repro.index.backend import MemmapBackend
 from repro.index.protocol import InstrumentedIndex, values_match
@@ -264,7 +265,8 @@ def _step_query_empty(scenario, info, index, shadow, rng):
 
 
 def _step_query_many(scenario, info, index, shadow, rng):
-    count = int(rng.integers(2, 9))
+    # Row counts straddle the blocked structures' row-count dispatch.
+    count = int(rng.integers(2, 2 * VECTORIZED_MIN_ROWS + 1))
     if info.kind == "max":
         return _check_max_query_many(
             scenario, info, index, shadow, rng, count

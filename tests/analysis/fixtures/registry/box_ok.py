@@ -20,14 +20,11 @@ class ValidatedSum(RangeSumIndexMixin):
             return 0
         return self.cube[box.slices()].sum()
 
-    def sum_range(self, bounds, counter=None):
-        # Validates transitively: sum_range -> range_sum -> _check_box.
-        from repro._util import Box
+    def sum_total(self, counter=None):
+        # Validates transitively: sum_total -> range_sum -> _check_box.
+        from repro._util import full_box
 
-        box = Box(
-            tuple(lo for lo, _ in bounds), tuple(hi for _, hi in bounds)
-        )
-        return self.range_sum(box, counter)
+        return self.range_sum(full_box(self.shape), counter)
 
     def sum_many(self, lows, highs, counter=None):
         lo, hi = normalize_query_arrays(lows, highs, self.shape)

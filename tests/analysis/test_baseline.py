@@ -1,4 +1,4 @@
-"""Baseline round-trip, context-hash keys, legacy migration."""
+"""Baseline round-trip and context-hash keys."""
 
 from __future__ import annotations
 
@@ -6,7 +6,6 @@ import json
 
 from repro.analysis.baseline import (
     baseline_key,
-    legacy_baseline_key,
     load_baseline,
     partition_baseline,
     write_baseline,
@@ -32,7 +31,6 @@ def test_key_uses_context_hash_when_available():
 
 def test_key_falls_back_to_line_without_fingerprint():
     assert baseline_key(_violation()) == "a.py:dtype-safety:3"
-    assert legacy_baseline_key(_violation()) == "a.py:dtype-safety:3"
 
 
 def test_missing_file_is_empty_baseline(tmp_path):
@@ -76,31 +74,6 @@ def test_partition_splits_new_from_grandfathered():
     new, grandfathered = partition_baseline([old, fresh], {baseline_key(old)})
     assert new == [fresh]
     assert grandfathered == [old]
-
-
-def test_legacy_line_keys_still_grandfather():
-    """A baseline written before the key-format change keeps working."""
-    v = _violation(line=3, fingerprint="aa" * 8)
-    new, grandfathered = partition_baseline([v], {"a.py:dtype-safety:3"})
-    assert new == []
-    assert grandfathered == [v]
-
-
-def test_write_baseline_migrates_legacy_entries(tmp_path):
-    """--write-baseline re-records line-keyed findings under hashes."""
-    target = tmp_path / "cubelint.baseline.json"
-    target.write_text(
-        json.dumps({"version": 1, "entries": ["a.py:dtype-safety:3"]})
-    )
-    v = _violation(line=3, fingerprint="aa" * 8)
-    # The old file grandfathers it...
-    new, grandfathered = partition_baseline([v], load_baseline(target))
-    assert grandfathered == [v]
-    # ...and regeneration emits only new-format keys.
-    write_baseline(target, [v])
-    payload = json.loads(target.read_text())
-    assert payload["version"] == 2
-    assert payload["entries"] == ["a.py:dtype-safety:h" + "aa" * 8]
 
 
 def _lint(source: str):

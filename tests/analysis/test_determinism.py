@@ -53,6 +53,6 @@ def test_scope_excludes_core_layers():
     assert rule.applies_to("src/repro/verify/driver.py")
     assert rule.applies_to("src/repro/kernels/threaded.py")
     assert rule.applies_to("src/repro/ingest/build.py")
-    assert rule.applies_to("benchmarks/bench_kernels.py")
+    assert rule.applies_to("benchmarks/bench_blocked_dispatch.py")
     assert not rule.applies_to("src/repro/core/prefix_sum.py")
     assert not rule.applies_to("tests/conftest.py")

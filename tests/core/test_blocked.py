@@ -142,7 +142,7 @@ class TestCorrectness:
         cube = make_cube((40, 40), rng)
         structure = BlockedPrefixSumCube(cube, 10)
         counter = AccessCounter()
-        got = structure.sum_range([(10, 29), (20, 39)], counter)
+        got = structure.range_sum(Box((10, 20), (29, 39)), counter)
         assert got == int(cube[10:30, 20:40].sum())
         assert counter.cube_cells == 0
 
@@ -156,7 +156,7 @@ class TestCorrectness:
     def test_single_cell(self, rng):
         cube = make_cube((30, 30), rng)
         structure = BlockedPrefixSumCube(cube, 8)
-        assert structure.sum_range([(17, 17), (23, 23)]) == cube[17, 23]
+        assert structure.range_sum(Box((17, 23), (17, 23))) == cube[17, 23]
 
     def test_full_cube(self, rng):
         cube = make_cube((33, 27), rng)
@@ -216,7 +216,7 @@ class TestValidation:
     def test_out_of_bounds_query(self, rng):
         structure = BlockedPrefixSumCube(make_cube((4, 4), rng), 2)
         with pytest.raises(ValueError):
-            structure.sum_range([(0, 5), (0, 3)])
+            structure.range_sum(Box((0, 0), (5, 3)))
 
     def test_dimension_mismatch(self, rng):
         structure = BlockedPrefixSumCube(make_cube((4, 4), rng), 2)

@@ -102,7 +102,7 @@ class TestDesignTradeoffs:
         cube = make_cube((100, 50, 5), rng)
         structure = BlockedPartialPrefixSumCube(cube, [0, 1], 10)
         counter = AccessCounter()
-        got = structure.sum_range([(15, 84), (7, 41), (2, 2)], counter)
+        got = structure.range_sum(Box((15, 7, 2), (84, 41, 2)), counter)
         assert got == int(cube[15:85, 7:42, 2].sum())
         # The passive singleton multiplies every charge by 1 only.
         assert counter.total < 70 * 35  # far below the query volume
@@ -111,9 +111,9 @@ class TestDesignTradeoffs:
         cube = make_cube((40, 40, 6), rng)
         structure = BlockedPartialPrefixSumCube(cube, [0, 1], 5)
         single = AccessCounter()
-        structure.sum_range([(3, 33), (6, 36), (2, 2)], single)
+        structure.range_sum(Box((3, 6, 2), (33, 36, 2)), single)
         wide = AccessCounter()
-        structure.sum_range([(3, 33), (6, 36), (0, 5)], wide)
+        structure.range_sum(Box((3, 6, 0), (33, 36, 5)), wide)
         assert wide.total == 6 * single.total
 
 
@@ -131,7 +131,7 @@ class TestValidation:
             make_cube((4, 4), rng), [0], 2
         )
         with pytest.raises(ValueError):
-            structure.sum_range([(0, 4), (0, 3)])
+            structure.range_sum(Box((0, 0), (4, 3)))
 
 
 class TestBatchUpdates:
@@ -175,4 +175,4 @@ class TestBatchUpdates:
         cube = make_cube((6, 6), rng).astype(np.int64)
         structure = BlockedPartialPrefixSumCube(cube, [], 3)
         structure.apply_updates([PointUpdate((2, 4), 9)])
-        assert structure.sum_range([(2, 2), (4, 4)]) == cube[2, 4] + 9
+        assert structure.range_sum(Box((2, 4), (2, 4))) == cube[2, 4] + 9

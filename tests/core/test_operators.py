@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro._util import Box
 from repro.core.operators import (
     OPERATORS,
     PRODUCT,
@@ -106,9 +107,9 @@ class TestPrefixStructuresUnderEachOperator:
     def test_xor_is_self_inverse_on_ranges(self, rng):
         cube = rng.integers(0, 64, (10,), dtype=np.int64)
         structure = PrefixSumCube(cube, XOR)
-        total = structure.sum_range([(0, 9)])
-        left = structure.sum_range([(0, 4)])
-        right = structure.sum_range([(5, 9)])
+        total = structure.range_sum(Box((0,), (9,)))
+        left = structure.range_sum(Box((0,), (4,)))
+        right = structure.range_sum(Box((5,), (9,)))
         assert total == left ^ right
 
     def test_product_range_queries(self, rng):

@@ -76,14 +76,14 @@ class TestCostModel:
         cube = make_cube((20, 20, 10), rng)
         structure = PartialPrefixSumCube(cube, [0, 1])
         counter = AccessCounter()
-        structure.sum_range([(3, 12), (5, 14), (4, 4)], counter)
+        structure.range_sum(Box((3, 5, 4), (12, 14, 4)), counter)
         assert counter.prefix_cells == 4  # 2^2 corners × 1 passive cell
 
     def test_passive_range_multiplies_cost(self, rng):
         cube = make_cube((20, 20, 10), rng)
         structure = PartialPrefixSumCube(cube, [0, 1])
         counter = AccessCounter()
-        structure.sum_range([(3, 12), (5, 14), (2, 6)], counter)
+        structure.range_sum(Box((3, 5, 2), (12, 14, 6)), counter)
         assert counter.prefix_cells == 4 * 5  # 2^2 corners × r3 = 5
 
     def test_model_is_an_upper_bound(self, rng):
@@ -124,7 +124,7 @@ class TestValidation:
     def test_bad_query(self, rng):
         structure = PartialPrefixSumCube(make_cube((4, 4), rng), [0])
         with pytest.raises(ValueError):
-            structure.sum_range([(0, 4), (0, 3)])
+            structure.range_sum(Box((0, 0), (4, 3)))
 
     def test_duplicate_dims_collapse(self, rng):
         cube = make_cube((5, 5), rng)
@@ -158,7 +158,7 @@ class TestBatchUpdates:
         cube = make_cube((5, 5), rng).astype(np.int64)
         structure = PartialPrefixSumCube(cube, [])
         structure.apply_updates([PointUpdate((2, 3), 7)])
-        assert structure.sum_range([(2, 2), (3, 3)]) == cube[2, 3] + 7
+        assert structure.range_sum(Box((2, 3), (2, 3))) == cube[2, 3] + 7
 
     def test_wrong_dimensionality_rejected(self, rng):
         from repro.core.batch_update import PointUpdate

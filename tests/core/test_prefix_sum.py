@@ -45,7 +45,7 @@ class TestPaperExamples:
         has it second, so the query transposes to rows 1:2, columns 2:3.
         """
         structure = PrefixSumCube(FIGURE1_A)
-        assert structure.sum_range([(1, 2), (2, 3)]) == 13
+        assert structure.range_sum(Box((1, 2), (2, 3))) == 13
 
     def test_paper_worked_example_terms(self):
         """The four inclusion-exclusion terms are the paper's 40−11−24+8."""
@@ -71,7 +71,7 @@ class TestPaperExamples:
             - prefix[l1 - 1, l2 - 1, l3 - 1] * 0
         )
         structure = PrefixSumCube(cube)
-        assert structure.sum_range([(1, 2), (2, 4), (0, 3)]) == expected
+        assert structure.range_sum(Box((1, 2, 0), (2, 4, 3))) == expected
 
 
 class TestConstruction:
@@ -98,7 +98,7 @@ class TestConstruction:
     def test_size_one_dimensions(self):
         cube = np.arange(6).reshape(1, 6, 1)
         structure = PrefixSumCube(cube)
-        assert structure.sum_range([(0, 0), (2, 4), (0, 0)]) == 2 + 3 + 4
+        assert structure.range_sum(Box((0, 2, 0), (0, 4, 0))) == 2 + 3 + 4
 
     def test_float_cube(self, rng):
         cube = rng.standard_normal((6, 7))
@@ -137,8 +137,8 @@ class TestQueries:
     def test_negative_values(self):
         cube = np.array([[-5, 3], [2, -7]])
         structure = PrefixSumCube(cube)
-        assert structure.sum_range([(0, 1), (0, 1)]) == -7
-        assert structure.sum_range([(1, 1), (1, 1)]) == -7
+        assert structure.range_sum(Box((0, 0), (1, 1))) == -7
+        assert structure.range_sum(Box((1, 1), (1, 1))) == -7
 
 
 class TestAccessCounting:
@@ -147,7 +147,7 @@ class TestAccessCounting:
         cube = make_cube((8, 8, 8), rng)
         structure = PrefixSumCube(cube)
         counter = AccessCounter()
-        structure.sum_range([(2, 5), (3, 6), (1, 4)], counter)
+        structure.range_sum(Box((2, 3, 1), (5, 6, 4)), counter)
         assert counter.prefix_cells == 8
         assert counter.cube_cells == 0
 
@@ -156,7 +156,7 @@ class TestAccessCounting:
         cube = make_cube((8, 8, 8), rng)
         structure = PrefixSumCube(cube)
         counter = AccessCounter()
-        structure.sum_range([(0, 5), (0, 6), (0, 4)], counter)
+        structure.range_sum(Box((0, 0, 0), (5, 6, 4)), counter)
         assert counter.prefix_cells == 1
 
     def test_cost_independent_of_volume(self, rng):
@@ -164,9 +164,9 @@ class TestAccessCounting:
         cube = make_cube((64, 64), rng)
         structure = PrefixSumCube(cube)
         small = AccessCounter()
-        structure.sum_range([(30, 31), (30, 31)], small)
+        structure.range_sum(Box((30, 30), (31, 31)), small)
         large = AccessCounter()
-        structure.sum_range([(1, 62), (1, 62)], large)
+        structure.range_sum(Box((1, 1), (62, 62)), large)
         assert small.total == large.total == 4
 
 
@@ -200,7 +200,7 @@ class TestValidation:
     def test_out_of_bounds(self, rng):
         structure = PrefixSumCube(make_cube((4, 4), rng))
         with pytest.raises(ValueError, match="outside"):
-            structure.sum_range([(0, 4), (0, 3)])
+            structure.range_sum(Box((0, 0), (4, 3)))
 
     def test_empty_region_returns_identity(self, rng):
         structure = PrefixSumCube(make_cube((4, 4), rng))
@@ -209,7 +209,7 @@ class TestValidation:
     def test_negative_low(self, rng):
         structure = PrefixSumCube(make_cube((4, 4), rng))
         with pytest.raises(ValueError):
-            structure.sum_range([(-1, 2), (0, 3)])
+            structure.range_sum(Box((-1, 0), (2, 3)))
 
 
 class TestBatchUpdateIntegration:

@@ -108,11 +108,11 @@ class TestQueries:
         index = tree.max_index(Box((0, 0), (5, 5)))
         assert index in {(1, 2), (4, 4)}
 
-    def test_max_value_and_max_range(self, rng):
+    def test_max_value_and_max_index(self, rng):
         cube = make_cube((20,), rng, high=1000)
         tree = RangeMaxTree(cube, fanout=4)
         assert tree.max_value(Box((3,), (17,))) == cube[3:18].max()
-        index = tree.max_range([(3, 17)])
+        index = tree.max_index(Box((3,), (17,)))
         assert cube[index] == cube[3:18].max()
 
     def test_without_branch_and_bound_same_answers(self, rng):

@@ -42,13 +42,13 @@ class TestCorrectness:
     def test_single_cell(self, rng):
         cube = make_cube((16, 16), rng)
         tree = TreeSumHierarchy(cube, 2)
-        assert tree.sum_range([(7, 7), (9, 9)]) == cube[7, 9]
+        assert tree.range_sum(Box((7, 9), (7, 9))) == cube[7, 9]
 
     def test_aligned_subtree_is_one_access(self, rng):
         cube = make_cube((27,), rng)
         tree = TreeSumHierarchy(cube, 3)
         counter = AccessCounter()
-        assert tree.sum_range([(9, 17)], counter) == cube[9:18].sum()
+        assert tree.range_sum(Box((9,), (17,)), counter) == cube[9:18].sum()
         assert counter.total == 1  # exactly one level-2 node covers 9..17
 
     def test_one_dimensional_sweep(self, rng):
@@ -61,7 +61,7 @@ class TestCorrectness:
     def test_negative_values(self):
         cube = np.array([[-3, 4], [5, -6]])
         tree = TreeSumHierarchy(cube, 2)
-        assert tree.sum_range([(0, 1), (0, 1)]) == 0
+        assert tree.range_sum(Box((0, 0), (1, 1))) == 0
 
 
 class TestFairnessSubtraction:
@@ -71,7 +71,7 @@ class TestFairnessSubtraction:
         cube = make_cube((64,), rng)
         tree = TreeSumHierarchy(cube, 4)
         counter = AccessCounter()
-        got = tree.sum_range([(0, 62)], counter)
+        got = tree.range_sum(Box((0,), (62,)), counter)
         assert got == cube[:63].sum()
         assert counter.total < 10
 
@@ -116,7 +116,7 @@ class TestValidation:
     def test_out_of_bounds(self, rng):
         tree = TreeSumHierarchy(make_cube((5, 5), rng), 2)
         with pytest.raises(ValueError):
-            tree.sum_range([(0, 5), (0, 4)])
+            tree.range_sum(Box((0, 0), (5, 4)))
 
     def test_empty_region(self, rng):
         tree = TreeSumHierarchy(make_cube((5, 5), rng), 2)

@@ -1,6 +1,8 @@
-"""Backend equivalence: every kernel answers bit-identically to the
-``numpy`` oracle — values *and* access-counter charges — on every dense
-sum structure, across operators and adversarial shapes."""
+"""Backend equivalence: under every kernel, ``sum_many`` answers what
+the structure's scalar ``range_sum`` loop and the naive scan answer —
+values *and* access-counter charges — on every dense sum structure,
+either side of the blocked dispatcher's row threshold, across operators
+and adversarial shapes."""
 
 from __future__ import annotations
 
@@ -8,9 +10,10 @@ import numpy as np
 import pytest
 
 from repro._util import Box
+from repro.core.blocked import VECTORIZED_MIN_ROWS
 from repro.core.operators import SUM, XOR
 from repro.index.registry import create_index
-from repro.instrumentation import AccessCounter
+from repro.instrumentation import NULL_COUNTER, AccessCounter
 from repro.kernels import get_kernel
 from repro.kernels.segments import (
     exclusive_offsets,
@@ -34,41 +37,76 @@ STRUCTURES = {
 }
 
 
+#: Row counts either side of ``blocked_sum_dispatch``'s choice.
+ROWS = (
+    1,
+    VECTORIZED_MIN_ROWS - 1,
+    VECTORIZED_MIN_ROWS,
+    4 * VECTORIZED_MIN_ROWS,
+)
+
+#: Structures whose batch path charges the §8 counter exactly as their
+#: scalar path does (``partial_prefix_sum`` batches through a cached
+#: full prefix array, so there only backends are compared).
+SCALAR_COUNTER_PARITY = (
+    "prefix_sum",
+    "blocked_prefix_sum",
+    "blocked_partial_prefix_sum",
+)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260808)
 
 
+def scalar_loop(index, lows, highs, counter=NULL_COUNTER):
+    """The reference: the structure's scalar ``range_sum``, row by row."""
+    return np.array(
+        [
+            index.range_sum(
+                Box(tuple(map(int, lo)), tuple(map(int, hi))), counter
+            )
+            for lo, hi in zip(lows, highs)
+        ]
+    )
+
+
 @pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("name", sorted(STRUCTURES))
 class TestBackendEquivalence:
-    def test_matches_naive_and_oracle(self, name, backend, rng):
+    @pytest.mark.parametrize("rows", ROWS)
+    def test_matches_naive_and_scalar_loop(self, name, backend, rows, rng):
         cube = make_cube((11, 9, 7), rng)
         index = create_index(name, cube, **STRUCTURES[name])
-        lows, highs = random_query_arrays(cube.shape, 40, rng)
-        index.kernel = get_kernel("numpy")
-        oracle = index.sum_many(lows, highs)
+        lows, highs = random_query_arrays(cube.shape, rows, rng)
         index.kernel = get_kernel(backend)
         values = index.sum_many(lows, highs)
-        assert np.array_equal(values, oracle)
-        for k in range(5):
+        assert np.array_equal(values, scalar_loop(index, lows, highs))
+        for k in range(min(rows, 5)):
             box = Box(tuple(lows[k]), tuple(highs[k]))
             assert values[k] == naive_range_sum(cube, box)
 
-    def test_counter_charges_match_the_oracle(self, name, backend, rng):
+    @pytest.mark.parametrize("rows", ROWS)
+    def test_counter_charges_are_the_scalar_paths(
+        self, name, backend, rows, rng
+    ):
         """The §8 access-cost proxy is backend-independent: charging
         fewer (or more) cells under one backend would silently change
         every benchmark comparing counts to the paper's formulas."""
         cube = make_cube((10, 8, 6), rng)
         index = create_index(name, cube, **STRUCTURES[name])
-        lows, highs = random_query_arrays(cube.shape, 25, rng)
-        index.kernel = get_kernel("numpy")
-        oracle_counter = AccessCounter()
-        index.sum_many(lows, highs, oracle_counter)
+        lows, highs = random_query_arrays(cube.shape, rows, rng)
         index.kernel = get_kernel(backend)
         counter = AccessCounter()
         index.sum_many(lows, highs, counter)
-        assert counter.snapshot() == oracle_counter.snapshot()
+        reference = AccessCounter()
+        if name in SCALAR_COUNTER_PARITY:
+            scalar_loop(index, lows, highs, reference)
+        else:
+            index.kernel = get_kernel("numpy")
+            index.sum_many(lows, highs, reference)
+        assert counter.snapshot() == reference.snapshot()
 
     def test_empty_and_degenerate_rows(self, name, backend, rng):
         cube = make_cube((6, 1, 5), rng)
@@ -85,10 +123,10 @@ class TestBackendEquivalence:
         cube = rng.integers(0, 64, size=(8, 6, 4)).astype(np.int64)
         index = create_index(name, cube, operator=XOR, **STRUCTURES[name])
         lows, highs = random_query_arrays(cube.shape, 20, rng)
-        index.kernel = get_kernel("numpy")
-        oracle = index.sum_many(lows, highs)
         index.kernel = get_kernel(backend)
-        assert np.array_equal(index.sum_many(lows, highs), oracle)
+        assert np.array_equal(
+            index.sum_many(lows, highs), scalar_loop(index, lows, highs)
+        )
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -177,3 +215,61 @@ class TestScatterFallback:
             SUM,
         )
         assert target.tolist() == [7, 20, 25]
+
+
+class TestScanMemoryCap:
+    """The vectorized pass reduces its run list in slices of at most
+    ``MAX_SCAN_CELLS`` cells, so transient memory follows the row count,
+    not the cells scanned."""
+
+    #: Peak traced allocation allowed during one ``sum_many``: one
+    #: slice's ~2.4 MB of gather buffers plus ~1.2 KB of per-row tables
+    #: (unsliced, the two batches below peak at 36 MB and 71 MB).
+    PEAK_CAP_BYTES = 24 << 20
+
+    @pytest.mark.parametrize("cap", [1, 7, 50])
+    def test_slicing_changes_no_box_total(self, cap, monkeypatch, rng):
+        from repro.kernels import boundary
+
+        cube = make_cube((9, 8, 7), rng, low=-20, high=20)
+        lows, highs = random_query_arrays(cube.shape, 60, rng)
+        whole = boundary.box_reduce_many(
+            cube, lows, highs, SUM, get_kernel("numpy")
+        )
+        monkeypatch.setattr(boundary, "MAX_SCAN_CELLS", cap)
+        for backend in BACKENDS:
+            sliced = boundary.box_reduce_many(
+                cube, lows, highs, SUM, get_kernel(backend)
+            )
+            assert np.array_equal(sliced, whole)
+        for k in range(60):
+            box = Box(tuple(lows[k]), tuple(highs[k]))
+            assert whole[k] == naive_range_sum(cube, box)
+
+    @pytest.mark.parametrize("batch", ["rollup", "uniform"])
+    def test_sum_many_peak_memory_is_capped(self, batch, rng):
+        import tracemalloc
+
+        shape = (128, 128, 64)
+        cube = make_cube(shape, rng)
+        index = create_index("blocked_prefix_sum", cube, block_size=8)
+        if batch == "rollup":
+            # What /rollup over dims (0, 1) sends: 16,384 thin boxes.
+            ranks = np.indices(shape[:2]).reshape(2, -1).T
+            lows = np.zeros((len(ranks), 3), dtype=np.int64)
+            highs = np.full((len(ranks), 3), shape[2] - 1, dtype=np.int64)
+            lows[:, :2] = highs[:, :2] = ranks
+        else:
+            lows, highs = random_query_arrays(shape, 256, rng)
+        reference = AccessCounter()
+        expected = scalar_loop(index, lows, highs, reference)
+        counter = AccessCounter()
+        tracemalloc.start()
+        try:
+            values = index.sum_many(lows, highs, counter)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(values, expected)
+        assert counter.snapshot() == reference.snapshot()
+        assert peak < self.PEAK_CAP_BYTES

@@ -16,8 +16,11 @@ import numpy as np
 import pytest
 
 from repro._util import Box, full_box
-from repro.core.operators import XOR
+from repro.core.blocked import VECTORIZED_MIN_ROWS, BlockedPrefixSumCube
+from repro.core.blocked_partial import BlockedPartialPrefixSumCube
+from repro.core.operators import SUM, XOR
 from repro.core.prefix_sum import PrefixSumCube
+from repro.index.registry import IndexSpec
 from repro.instrumentation import AccessCounter
 from repro.query.batch import (
     boxes_to_arrays,
@@ -38,6 +41,25 @@ from repro.query.workload import (
 
 SHAPES = {1: (41,), 2: (13, 11), 3: (8, 7, 6), 4: (6, 5, 4, 3)}
 N_BOXES = 200
+
+
+#: Row counts either side of ``blocked_sum_dispatch``'s choice.
+DISPATCH_ROWS = (
+    1,
+    VECTORIZED_MIN_ROWS - 1,
+    VECTORIZED_MIN_ROWS,
+    4 * VECTORIZED_MIN_ROWS,
+)
+
+
+def _sum_spec(block_size):
+    if block_size == 1:
+        return IndexSpec.of("prefix_sum")
+    return IndexSpec.of("blocked_prefix_sum", block_size=block_size)
+
+
+def _max_tree(fanout):
+    return IndexSpec.of("range_max_tree", fanout=fanout)
 
 
 def _case_boxes(shape, rng):
@@ -64,25 +86,31 @@ class TestBatchEqualsScalarEqualsNaive:
         cube = make_cube(shape, rng)
         counts = rng.integers(1, 5, size=shape).astype(np.int64)
         engine = RangeQueryEngine(
-            cube, block_size=block_size, max_fanout=None, counts=counts
+            cube,
+            sum_index=_sum_spec(block_size),
+            max_index=None,
+            counts=counts,
         )
-        boxes = _case_boxes(shape, rng)
-        lows, highs = boxes_to_arrays(boxes, shape)
-        sums = engine.sum_many(lows, highs)
-        cnts = engine.count_many(lows, highs)
-        avgs = engine.average_many(lows, highs)
-        for k, box in enumerate(boxes):
-            assert sums[k] == engine.sum(box)
-            assert sums[k] == naive_range_sum(cube, box)
-            assert cnts[k] == engine.count(box)
-            assert cnts[k] == naive_range_sum(counts, box)
-            assert avgs[k] == engine.average(box)
+        every = _case_boxes(shape, rng)
+        for rows in (*DISPATCH_ROWS, len(every)):
+            # The degenerate boxes sit at the end of the case list.
+            boxes = every[-rows:]
+            lows, highs = boxes_to_arrays(boxes, shape)
+            sums = engine.sum_many(lows, highs)
+            cnts = engine.count_many(lows, highs)
+            avgs = engine.average_many(lows, highs)
+            for k, box in enumerate(boxes):
+                assert sums[k] == engine.sum(box)
+                assert sums[k] == naive_range_sum(cube, box)
+                assert cnts[k] == engine.count(box)
+                assert cnts[k] == naive_range_sum(counts, box)
+                assert avgs[k] == engine.average(box)
 
     def test_max_min(self, ndim, block_size, rng):
         shape = SHAPES[ndim]
         cube = make_cube(shape, rng, low=-100, high=100)
         engine = RangeQueryEngine(
-            cube, block_size=block_size, max_fanout=3
+            cube, sum_index=_sum_spec(block_size), max_index=_max_tree(3)
         )
         boxes = _case_boxes(shape, rng)
         max_idx, max_vals = engine.max_many(boxes)
@@ -109,13 +137,63 @@ def test_partial_prefix_batch(ndim, prefix_dims, rng):
     shape = SHAPES[ndim]
     cube = make_cube(shape, rng)
     engine = RangeQueryEngine(
-        cube, max_fanout=None, prefix_dims=prefix_dims
+        cube,
+        sum_index=IndexSpec.of(
+            "partial_prefix_sum", prefix_dims=tuple(prefix_dims)
+        ),
+        max_index=None,
     )
     boxes = _case_boxes(shape, rng)
     sums = engine.sum_many(boxes)
     for k, box in enumerate(boxes):
         assert sums[k] == engine.sum(box)
         assert sums[k] == naive_range_sum(cube, box)
+
+
+def _blocked_structures(cube, block_size=3):
+    """Both blocked classes; the partial one over the empty set, one
+    leading, one trailing and every dimension."""
+    ndim = cube.ndim
+    yield BlockedPrefixSumCube(cube, block_size)
+    for dims in {(), (0,), (ndim - 1,), tuple(range(ndim))}:
+        yield BlockedPartialPrefixSumCube(cube, dims, block_size)
+
+
+def _dispatch_batches(shape, rows, rng):
+    """Random boxes with one empty row, then roll-up-shaped thin boxes
+    (one rank on the first axis, the full extent elsewhere)."""
+    lows, highs = random_query_arrays(shape, rows, rng)
+    highs[rows // 2, 0] = lows[rows // 2, 0] - 1
+    yield lows, highs
+    ranks = rng.integers(0, shape[0], size=rows)
+    lows = np.zeros((rows, len(shape)), dtype=np.int64)
+    highs = np.tile(np.asarray(shape, dtype=np.int64) - 1, (rows, 1))
+    lows[:, 0] = highs[:, 0] = ranks
+    yield lows, highs
+
+
+@pytest.mark.parametrize("rows", DISPATCH_ROWS)
+@pytest.mark.parametrize("ndim", [1, 2, 3, 4])
+@pytest.mark.parametrize(
+    "dtype", [np.int64, np.uint8, np.bool_, np.float64]
+)
+def test_blocked_batch_equals_scalar_loop_and_naive(dtype, ndim, rows, rng):
+    """Whichever path ``blocked_sum_dispatch`` picks, values and §8
+    charges are those of the scalar ``range_sum`` loop, and the values
+    those of the naive scan (float cells are integral, so exactly)."""
+    shape = SHAPES[ndim]
+    cube = rng.integers(0, 2 if dtype is np.bool_ else 50, size=shape)
+    cube = cube.astype(dtype)
+    for structure in _blocked_structures(cube):
+        for lows, highs in _dispatch_batches(shape, rows, rng):
+            batch_counter, scalar_counter = AccessCounter(), AccessCounter()
+            got = structure.sum_many(lows, highs, batch_counter)
+            assert got.dtype == SUM.accumulation_dtype(dtype)
+            for k in range(rows):
+                box = Box(tuple(map(int, lows[k])), tuple(map(int, highs[k])))
+                assert got[k] == structure.range_sum(box, scalar_counter)
+                assert got[k] == naive_range_sum(cube, box)
+            assert batch_counter.snapshot() == scalar_counter.snapshot()
 
 
 def test_partial_prefix_cache_invalidated_on_update(rng):
@@ -149,7 +227,7 @@ def test_batch_kernel_generic_operator(rng):
 def test_float_cube_batch_close(rng):
     """Float batches agree with scalar up to summation-order rounding."""
     cube = rng.standard_normal((10, 9, 8))
-    engine = RangeQueryEngine(cube, max_fanout=None)
+    engine = RangeQueryEngine(cube, max_index=None)
     boxes = _case_boxes((10, 9, 8), rng)
     sums = engine.sum_many(boxes)
     want = np.array([engine.sum(box) for box in boxes])
@@ -158,13 +236,13 @@ def test_float_cube_batch_close(rng):
 
 class TestBatchInputValidation:
     def test_shape_mismatch(self, rng):
-        engine = RangeQueryEngine(make_cube((6, 6), rng), max_fanout=None)
+        engine = RangeQueryEngine(make_cube((6, 6), rng), max_index=None)
         with pytest.raises(ValueError, match=r"\(K, 2\)"):
             engine.sum_many(np.zeros((3, 3), int), np.ones((3, 3), int))
 
     def test_lo_above_hi_yields_identity(self, rng):
         cube = make_cube((6, 6), rng)
-        engine = RangeQueryEngine(cube, max_fanout=None)
+        engine = RangeQueryEngine(cube, max_index=None)
         sums = engine.sum_many(
             np.array([[0, 0], [3, 3]]), np.array([[5, 5], [2, 5]])
         )
@@ -172,28 +250,32 @@ class TestBatchInputValidation:
         assert sums[1] == 0  # empty row: the SUM identity
 
     def test_lo_above_hi_rejected_for_max(self, rng):
-        engine = RangeQueryEngine(make_cube((6, 6), rng), max_fanout=3)
+        engine = RangeQueryEngine(
+            make_cube((6, 6), rng), max_index=_max_tree(3)
+        )
         with pytest.raises(ValueError, match="empty query region at row 1"):
             engine.max_many(
                 np.array([[0, 0], [3, 3]]), np.array([[5, 5], [2, 5]])
             )
 
     def test_out_of_bounds(self, rng):
-        engine = RangeQueryEngine(make_cube((6, 6), rng), max_fanout=None)
+        engine = RangeQueryEngine(make_cube((6, 6), rng), max_index=None)
         with pytest.raises(ValueError, match="outside cube"):
             engine.sum_many(
                 np.array([[0, 0]]), np.array([[6, 5]])
             )
 
     def test_non_integer_bounds(self, rng):
-        engine = RangeQueryEngine(make_cube((6, 6), rng), max_fanout=None)
+        engine = RangeQueryEngine(make_cube((6, 6), rng), max_index=None)
         with pytest.raises(ValueError, match="must be integers"):
             engine.sum_many(
                 np.array([[0.0, 0.0]]), np.array([[2.0, 2.0]])
             )
 
     def test_empty_batch(self, rng):
-        engine = RangeQueryEngine(make_cube((6, 6), rng), max_fanout=3)
+        engine = RangeQueryEngine(
+            make_cube((6, 6), rng), max_index=_max_tree(3)
+        )
         empty = np.empty((0, 2), dtype=np.int64)
         assert engine.sum_many(empty, empty).shape == (0,)
         assert engine.count_many(empty, empty).shape == (0,)
@@ -204,7 +286,7 @@ class TestBatchInputValidation:
         cube = make_cube((4, 4), rng)
         counts = np.zeros((4, 4), dtype=np.int64)
         counts[2, 2] = 3
-        engine = RangeQueryEngine(cube, counts=counts, max_fanout=None)
+        engine = RangeQueryEngine(cube, counts=counts, max_index=None)
         averages = engine.average_many(
             np.array([[0, 0], [2, 2]]), np.array([[1, 1], [2, 2]])
         )
@@ -214,7 +296,7 @@ class TestBatchInputValidation:
 
     def test_range_query_objects_accepted(self, rng):
         cube = make_cube((10, 10), rng)
-        engine = RangeQueryEngine(cube, max_fanout=None)
+        engine = RangeQueryEngine(cube, max_index=None)
         queries = [
             RangeQuery((RangeSpec.between(2, 5), RangeSpec.all())),
             Box((0, 0), (9, 9)),
@@ -257,7 +339,7 @@ class TestNormalization:
 class TestRollingSumBatch:
     def test_matches_per_window_queries(self, rng):
         cube = make_cube((40, 6), rng)
-        engine = RangeQueryEngine(cube, max_fanout=None)
+        engine = RangeQueryEngine(cube, max_index=None)
         results = list(engine.rolling_sum(axis=0, window=7))
         assert len(results) == 34
         for start, value in results:
@@ -274,7 +356,9 @@ class TestRollingSumBatch:
 
     def test_blocked_engine_rolling(self, rng):
         cube = make_cube((30, 8), rng)
-        engine = RangeQueryEngine(cube, block_size=4, max_fanout=None)
+        engine = RangeQueryEngine(
+            cube, sum_index=_sum_spec(4), max_index=None
+        )
         for start, value in engine.rolling_sum(axis=1, window=3):
             assert value == cube[:, start : start + 3].sum()
 
@@ -283,7 +367,7 @@ class TestWorkloadRouting:
     def test_run_query_log_matches_scalar(self, rng):
         shape = (12, 10)
         cube = make_cube(shape, rng)
-        engine = RangeQueryEngine(cube, max_fanout=3)
+        engine = RangeQueryEngine(cube, max_index=_max_tree(3))
         queries = [random_box(shape, rng) for _ in range(50)]
         assert (
             run_query_log(engine, queries, "sum")
@@ -299,7 +383,7 @@ class TestWorkloadRouting:
         ).all()
 
     def test_unknown_aggregate(self, rng):
-        engine = RangeQueryEngine(make_cube((4, 4), rng), max_fanout=None)
+        engine = RangeQueryEngine(make_cube((4, 4), rng), max_index=None)
         with pytest.raises(ValueError, match="unknown aggregate"):
             run_query_log(engine, [], "median")
 
@@ -314,7 +398,7 @@ class TestCounterParity:
     def test_prefix_corner_charges_match_scalar(self, rng):
         """Batch charges exactly the valid-corner reads, like scalar."""
         cube = make_cube((9, 9), rng)
-        engine = RangeQueryEngine(cube, max_fanout=None)
+        engine = RangeQueryEngine(cube, max_index=None)
         boxes = [random_box((9, 9), rng) for _ in range(40)]
         scalar_counter = AccessCounter()
         for box in boxes:
@@ -333,7 +417,7 @@ class TestMinUnsignedRegression:
     )
     def test_unsigned_min_exact_no_warning(self, dtype):
         cube = np.arange(12, dtype=dtype)
-        engine = RangeQueryEngine(cube, max_fanout=2)
+        engine = RangeQueryEngine(cube, max_index=_max_tree(2))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             index, value = engine.min(Box((0,), (11,)))
@@ -344,7 +428,7 @@ class TestMinUnsignedRegression:
 
     def test_unsigned_min_random(self, rng):
         cube = rng.integers(0, 200, size=(9, 8)).astype(np.uint32)
-        engine = RangeQueryEngine(cube, max_fanout=3)
+        engine = RangeQueryEngine(cube, max_index=_max_tree(3))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for _ in range(50):
@@ -359,7 +443,7 @@ class TestMinUnsignedRegression:
     def test_bool_cube_min_max(self):
         cube = np.zeros((4, 4), dtype=bool)
         cube[2, 3] = True
-        engine = RangeQueryEngine(cube, max_fanout=2)
+        engine = RangeQueryEngine(cube, max_index=_max_tree(2))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             _, lowest = engine.min(Box((0, 0), (3, 3)))
@@ -376,7 +460,10 @@ class TestPythonScalarReturns:
         cube = make_cube((10, 10), rng)
         counts = rng.integers(1, 3, (10, 10)).astype(np.int64)
         engine = RangeQueryEngine(
-            cube, block_size=block_size, max_fanout=2, counts=counts
+            cube,
+            sum_index=_sum_spec(block_size),
+            max_index=_max_tree(2),
+            counts=counts,
         )
         box = Box((1, 2), (7, 8))
         assert type(engine.sum(box)) is int
@@ -388,14 +475,14 @@ class TestPythonScalarReturns:
         assert type(bottom) is int
 
     def test_rolling_sum_yields_ints(self, rng):
-        engine = RangeQueryEngine(make_cube((12,), rng), max_fanout=None)
+        engine = RangeQueryEngine(make_cube((12,), rng), max_index=None)
         for start, value in engine.rolling_sum(axis=0, window=5):
             assert type(start) is int
             assert type(value) is int
 
     def test_float_cube_sum_is_float(self, rng):
         engine = RangeQueryEngine(
-            rng.standard_normal((6, 6)), max_fanout=None
+            rng.standard_normal((6, 6)), max_index=None
         )
         assert type(engine.sum(Box((0, 0), (3, 3)))) is float
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro._util import Box
+from repro.index.registry import IndexSpec
 from repro.instrumentation import AccessCounter
 from repro.query.engine import RangeQueryEngine
 from repro.query.ranges import RangeQuery, RangeSpec
@@ -20,15 +21,19 @@ def rng():
 class TestSumPaths:
     def test_basic_and_blocked_agree(self, rng):
         cube = make_cube((30, 30), rng)
-        basic = RangeQueryEngine(cube, block_size=1, max_fanout=None)
-        blocked = RangeQueryEngine(cube, block_size=6, max_fanout=None)
+        basic = RangeQueryEngine(cube, max_index=None)
+        blocked = RangeQueryEngine(
+            cube,
+            sum_index=IndexSpec.of("blocked_prefix_sum", block_size=6),
+            max_index=None,
+        )
         for _ in range(30):
             box = random_box(cube.shape, rng)
             assert basic.sum(box) == blocked.sum(box)
 
     def test_range_query_objects_accepted(self, rng):
         cube = make_cube((10, 10), rng)
-        engine = RangeQueryEngine(cube, max_fanout=None)
+        engine = RangeQueryEngine(cube, max_index=None)
         query = RangeQuery((RangeSpec.between(2, 5), RangeSpec.all()))
         assert engine.sum(query) == cube[2:6].sum()
 
@@ -37,18 +42,18 @@ class TestDerivedAggregates:
     def test_count_from_counts_cube(self, rng):
         cube = make_cube((8, 8), rng)
         counts = rng.integers(0, 5, (8, 8)).astype(np.int64)
-        engine = RangeQueryEngine(cube, counts=counts, max_fanout=None)
+        engine = RangeQueryEngine(cube, counts=counts, max_index=None)
         box = Box((1, 1), (5, 6))
         assert engine.count(box) == counts[1:6, 1:7].sum()
 
     def test_count_without_counts_is_volume(self, rng):
-        engine = RangeQueryEngine(make_cube((8, 8), rng), max_fanout=None)
+        engine = RangeQueryEngine(make_cube((8, 8), rng), max_index=None)
         assert engine.count(Box((1, 1), (5, 6))) == 30
 
     def test_average_is_sum_over_count(self, rng):
         cube = make_cube((8, 8), rng)
         counts = rng.integers(1, 5, (8, 8)).astype(np.int64)
-        engine = RangeQueryEngine(cube, counts=counts, max_fanout=None)
+        engine = RangeQueryEngine(cube, counts=counts, max_index=None)
         box = Box((2, 0), (6, 7))
         expected = cube[2:7].sum() / counts[2:7].sum()
         assert engine.average(box) == pytest.approx(expected)
@@ -56,7 +61,7 @@ class TestDerivedAggregates:
     def test_average_zero_count_is_none(self, rng):
         cube = np.zeros((4, 4), dtype=np.int64)
         counts = np.zeros((4, 4), dtype=np.int64)
-        engine = RangeQueryEngine(cube, counts=counts, max_fanout=None)
+        engine = RangeQueryEngine(cube, counts=counts, max_index=None)
         assert engine.average(Box((0, 0), (1, 1))) is None
 
     def test_counts_shape_mismatch(self, rng):
@@ -67,7 +72,7 @@ class TestDerivedAggregates:
 
     def test_min_is_negated_max(self, rng):
         cube = make_cube((20, 20), rng, low=-50, high=50)
-        engine = RangeQueryEngine(cube, max_fanout=4)
+        engine = RangeQueryEngine(cube)
         box = Box((3, 5), (15, 18))
         index, value = engine.min(box)
         assert value == cube[3:16, 5:19].min()
@@ -75,14 +80,14 @@ class TestDerivedAggregates:
 
     def test_max(self, rng):
         cube = make_cube((20, 20), rng)
-        engine = RangeQueryEngine(cube, max_fanout=4)
+        engine = RangeQueryEngine(cube)
         box = Box((0, 0), (19, 10))
         index, value = engine.max(box)
         assert value == cube[:, :11].max()
         assert cube[index] == value
 
     def test_max_disabled(self, rng):
-        engine = RangeQueryEngine(make_cube((4, 4), rng), max_fanout=None)
+        engine = RangeQueryEngine(make_cube((4, 4), rng), max_index=None)
         with pytest.raises(RuntimeError):
             engine.max(Box((0, 0), (1, 1)))
 
@@ -90,7 +95,7 @@ class TestDerivedAggregates:
 class TestRollingWindows:
     def test_rolling_sum_matches_direct(self, rng):
         cube = make_cube((12, 5), rng)
-        engine = RangeQueryEngine(cube, max_fanout=None)
+        engine = RangeQueryEngine(cube, max_index=None)
         results = dict(engine.rolling_sum(axis=0, window=4))
         assert len(results) == 9
         for start, value in results.items():
@@ -98,7 +103,7 @@ class TestRollingWindows:
 
     def test_rolling_sum_with_fixed_bounds(self, rng):
         cube = make_cube((10, 10), rng)
-        engine = RangeQueryEngine(cube, max_fanout=None)
+        engine = RangeQueryEngine(cube, max_index=None)
         results = dict(
             engine.rolling_sum(axis=1, window=3, fixed=[(2, 4), (0, 9)])
         )
@@ -108,19 +113,19 @@ class TestRollingWindows:
     def test_rolling_sum_constant_cost_per_window(self, rng):
         """Each window is one prefix-sum query: 2^d reads, not O(window)."""
         cube = make_cube((256,), rng)
-        engine = RangeQueryEngine(cube, max_fanout=None)
+        engine = RangeQueryEngine(cube, max_index=None)
         counter = AccessCounter()
         windows = list(engine.rolling_sum(axis=0, window=128, counter=counter))
         assert len(windows) == 129
         assert counter.prefix_cells <= 2 * 129
 
     def test_invalid_axis(self, rng):
-        engine = RangeQueryEngine(make_cube((5,), rng), max_fanout=None)
+        engine = RangeQueryEngine(make_cube((5,), rng), max_index=None)
         with pytest.raises(ValueError):
             list(engine.rolling_sum(axis=1, window=2))
 
     def test_invalid_window(self, rng):
-        engine = RangeQueryEngine(make_cube((5,), rng), max_fanout=None)
+        engine = RangeQueryEngine(make_cube((5,), rng), max_index=None)
         with pytest.raises(ValueError):
             list(engine.rolling_sum(axis=0, window=6))
 
@@ -130,9 +135,11 @@ class TestPrefixDimsDesign:
 
     def test_subset_engine_matches_full(self, rng):
         cube = make_cube((20, 20, 6), rng)
-        full = RangeQueryEngine(cube, max_fanout=None)
+        full = RangeQueryEngine(cube, max_index=None)
         subset = RangeQueryEngine(
-            cube, max_fanout=None, prefix_dims=[0, 1]
+            cube,
+            sum_index=IndexSpec.of("partial_prefix_sum", prefix_dims=(0, 1)),
+            max_index=None,
         )
         for _ in range(30):
             box = random_box(cube.shape, rng)
@@ -142,19 +149,16 @@ class TestPrefixDimsDesign:
         cube = make_cube((10, 10), rng)
         counts = rng.integers(1, 4, (10, 10)).astype(np.int64)
         engine = RangeQueryEngine(
-            cube, max_fanout=None, counts=counts, prefix_dims=[0]
+            cube,
+            sum_index=IndexSpec.of("partial_prefix_sum", prefix_dims=(0,)),
+            max_index=None,
+            counts=counts,
         )
         box = Box((2, 3), (7, 8))
         assert engine.count(box) == counts[2:8, 3:9].sum()
         assert engine.average(box) == pytest.approx(
             cube[2:8, 3:9].sum() / counts[2:8, 3:9].sum()
         )
-
-    def test_subset_and_blocking_conflict(self, rng):
-        with pytest.raises(ValueError, match="cannot combine"):
-            RangeQueryEngine(
-                make_cube((8, 8), rng), block_size=4, prefix_dims=[0]
-            )
 
     def test_datacube_prefix_dims_by_name(self, rng):
         from repro.cube.datacube import DataCube
@@ -167,6 +171,8 @@ class TestPrefixDimsDesign:
         )
         cube.build_index(prefix_dims=["a"], max_fanout=None)
         assert cube.sum(a=(3, 9)) == measures[3:10].sum()
+        with pytest.raises(ValueError, match="cannot combine"):
+            cube.build_index(block_size=4, prefix_dims=["a"])
 
 
 class TestEngineUpdates:
@@ -178,7 +184,10 @@ class TestEngineUpdates:
         cube = make_cube((20, 20), rng, high=1000).astype(np.int64)
         counts = rng.integers(1, 5, (20, 20)).astype(np.int64)
         engine = RangeQueryEngine(
-            cube, block_size=4, max_fanout=3, counts=counts
+            cube,
+            sum_index=IndexSpec.of("blocked_prefix_sum", block_size=4),
+            max_index=IndexSpec.of("range_max_tree", fanout=3),
+            counts=counts,
         )
         mirror = cube.copy()
         count_mirror = counts.copy()
@@ -210,7 +219,9 @@ class TestEngineUpdates:
         from repro.core.batch_update import PointUpdate
 
         cube = make_cube((8, 8), rng).astype(np.int64)
-        engine = RangeQueryEngine(cube, max_fanout=2)
+        engine = RangeQueryEngine(
+            cube, max_index=IndexSpec.of("range_max_tree", fanout=2)
+        )
         engine.apply_updates(
             [PointUpdate((3, 3), 500), PointUpdate((3, 3), 700)]
         )
@@ -220,6 +231,6 @@ class TestEngineUpdates:
     def test_count_updates_without_counts_cube(self, rng):
         from repro.core.batch_update import PointUpdate
 
-        engine = RangeQueryEngine(make_cube((5, 5), rng), max_fanout=None)
+        engine = RangeQueryEngine(make_cube((5, 5), rng), max_index=None)
         with pytest.raises(ValueError, match="without a counts cube"):
             engine.apply_updates([], [PointUpdate((0, 0), 1)])

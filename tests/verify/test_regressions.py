@@ -64,12 +64,12 @@ class TestDtypePromotion:
         cube = np.array([2.0**24, 1.0], dtype=np.float32)
         structure = PrefixSumCube(cube)
         # P[1] − P[0] computed in float32 collapses to 0.0.
-        assert structure.sum_range([(1, 1)]) == 1.0
+        assert structure.range_sum(Box((1,), (1,))) == 1.0
 
     def test_narrow_int_totals_do_not_wrap(self):
         cube = np.full(300, 100, dtype=np.int8)
         structure = PrefixSumCube(cube)
-        assert structure.sum_range([(0, 299)]) == 30000
+        assert structure.range_sum(Box((0,), (299,))) == 30000
 
 
 class TestEmptyRangeIdentity:
