@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.partial_prefix import PartialPrefixSumCube
+from repro.core.prefix_sum import PartialPrefixSumCube
 from repro.instrumentation import AccessCounter
 from repro.optimizer.dimension_selection import (
     active_range_lengths,

@@ -7,7 +7,7 @@ carrying two measures: page views and dwell-time.  The example shows
 * :class:`MeasureSet` — several measures over shared dimensions, with
   AVERAGE and cross-measure ratios from constant-time queries;
 * ROLLING windows (§1 lists ROLLING SUM as a range-sum special case);
-* the §9 loop closed by :class:`QueryLog`: live queries are recorded,
+* the §9 loop closed by :class:`WorkloadObserver`: live queries are recorded,
   the cuboid selector re-tunes from the log, and the chosen plan is
   materialized and replayed.
 
@@ -22,7 +22,7 @@ import numpy as np
 from repro import AccessCounter, CategoricalDimension, IntegerDimension
 from repro.cube import MeasureSet
 from repro.optimizer import CuboidSelector, MaterializedCuboidSet
-from repro.query import QueryLog
+from repro.query import WorkloadObserver
 
 COUNTRIES = ["US", "DE", "JP", "BR", "IN", "GB"]
 DEVICES = ["desktop", "mobile", "tablet"]
@@ -79,7 +79,7 @@ def main() -> None:
     # --- The self-tuning loop -------------------------------------------
     print("\nself-tuning: recording one week of ad-hoc traffic ...")
     views_cube = events.cube("views")
-    log = QueryLog(events.shape)
+    log = WorkloadObserver(events.shape, capacity=None)
     for _ in range(250):
         conditions: dict[str, object] = {}
         if rng.random() < 0.9:  # analysts almost always range over days
@@ -93,10 +93,10 @@ def main() -> None:
             conditions["section"] = SECTIONS[
                 int(rng.integers(0, len(SECTIONS)))
             ]
-        query = log.record(views_cube.parse_query(conditions))
+        query = log.observe_query(views_cube.parse_query(conditions))
         views_cube.engine.sum(query)  # serve it
 
-    workloads = log.workloads()
+    workloads = log.snapshot().workloads()
     print(f"  log: {len(log)} queries across "
           f"{len(workloads)} cuboid buckets")
     budget = 6000

@@ -58,16 +58,7 @@ from repro.index import (
     register_index,
 )
 from repro.instrumentation import AccessCounter
-from repro.io import (
-    load_blocked,
-    load_index,
-    load_max_tree,
-    load_prefix_sum,
-    save_blocked,
-    save_index,
-    save_max_tree,
-    save_prefix_sum,
-)
+from repro.io import load_index, save_index
 from repro.optimizer import MaterializedCuboidSet
 from repro.query import (
     QueryStatistics,
@@ -122,15 +113,9 @@ __all__ = [
     "apply_max_updates",
     "available_indexes",
     "create_index",
-    "load_blocked",
     "load_index",
-    "load_max_tree",
-    "load_prefix_sum",
     "progressive_bounds",
     "register_index",
-    "save_blocked",
     "save_index",
-    "save_max_tree",
-    "save_prefix_sum",
     "__version__",
 ]

@@ -14,12 +14,6 @@ validate before touching storage: either a direct call to
 or delegation to another method of the same class that validates
 (resolved as a fixpoint over the class's own call graph, so
 ``range_sum → _check_box → check_query_box`` passes).
-
-Methods ending in ``_unchecked`` are exempt: that suffix is the
-protocol's documented pre-validated hook (``range_sum_unchecked``),
-whose contract is precisely that the caller — the checked entry point or
-the batch mixin — has already validated the box once for the whole
-batch.
 """
 
 from __future__ import annotations
@@ -48,10 +42,6 @@ _ENTRY_PREFIXES = ("sum", "max", "range_sum", "range_max")
 
 def _is_entry_point(name: str) -> bool:
     if name.startswith("_"):
-        return False
-    if name.endswith("_unchecked"):
-        # The protocol's pre-validated hook: validation is the caller's
-        # contract (hoisted once per batch by the sum_many default).
         return False
     return name in _ENTRY_EXACT or name.startswith(_ENTRY_PREFIXES)
 

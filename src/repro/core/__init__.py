@@ -10,8 +10,11 @@ from repro.core.batch_update import (
     partition_updates,
     theorem2_region_bound,
 )
-from repro.core.blocked import BlockedPrefixSumCube, block_contract
-from repro.core.blocked_partial import BlockedPartialPrefixSumCube
+from repro.core.blocked import (
+    BlockedPartialPrefixSumCube,
+    BlockedPrefixSumCube,
+    block_contract,
+)
 from repro.core.bounds import (
     MaxBounds,
     ProgressiveBounds,
@@ -31,8 +34,11 @@ from repro.core.operators import (
     InvertibleOperator,
     get_operator,
 )
-from repro.core.partial_prefix import PartialPrefixSumCube
-from repro.core.prefix_sum import PrefixSumCube, compute_prefix_array
+from repro.core.prefix_sum import (
+    PartialPrefixSumCube,
+    PrefixSumCube,
+    compute_prefix_array,
+)
 from repro.core.range_max import RangeMaxTree
 from repro.core.tree_sum import TreeSumHierarchy
 

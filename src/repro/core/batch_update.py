@@ -119,6 +119,10 @@ def _partition(
     if not points:
         return []
     ndim = len(shape)
+    if ndim == 0:
+        # A §9.1 subset with no chosen dimension: the (merged) update
+        # dirties its own cell and nothing else.
+        return [(Box((), ()), points[0][1])]
     points = sorted(points, key=lambda p: p[0][0])
     boundaries = [p[0][0] for p in points] + [shape[0]]
     regions: list[tuple[Box, object]] = []
@@ -147,18 +151,57 @@ def apply_batch_to_prefix(
     prefix: np.ndarray,
     updates: Sequence[PointUpdate],
     operator: InvertibleOperator = SUM,
+    prefix_dims: Sequence[int] | None = None,
 ) -> int:
-    """Apply a batch of updates to a basic prefix array in place.
+    """Apply a batch of updates to a prefix array in place.
+
+    Args:
+        prefix: The array to repair, accumulated along ``prefix_dims``.
+        updates: Point updates in ``prefix``'s own coordinates.
+        operator: The aggregation operator.
+        prefix_dims: The accumulated dimensions (§9.1's ``X'``; every
+            dimension by default).  An update at ``x`` dirties the cells
+            with ``y_j >= x_j`` on these and ``y_j == x_j`` on the rest,
+            so the §5.1 partition runs once per distinct passive
+            coordinate, inside the chosen-dimension subspace.
 
     Returns:
         The number of delta-uniform regions written (for Theorem 2
         validation; each affected cell of ``P`` is written exactly once).
     """
-    regions = partition_updates(updates, prefix.shape, operator)
-    for box, delta in regions:
-        view = prefix[box.slices()]
-        view[...] = operator.apply(view, delta)
-    return len(regions)
+    chosen = (
+        tuple(range(prefix.ndim)) if prefix_dims is None else tuple(prefix_dims)
+    )
+    passive = tuple(j for j in range(prefix.ndim) if j not in chosen)
+    groups: dict[tuple[int, ...], list[PointUpdate]] = {}
+    for update in updates:
+        if len(update.index) != prefix.ndim:
+            raise ValueError(
+                f"update index {update.index} has wrong dimensionality"
+            )
+        groups.setdefault(
+            tuple(update.index[j] for j in passive), []
+        ).append(
+            PointUpdate(tuple(update.index[j] for j in chosen), update.delta)
+        )
+    chosen_shape = tuple(prefix.shape[j] for j in chosen)
+    # Chosen axes first, so a region of the chosen subspace indexes a
+    # group's slab directly.
+    ordered = prefix.transpose(chosen + passive)
+    written = 0
+    for fixed, group in groups.items():
+        regions = partition_updates(group, chosen_shape, operator)
+        written += len(regions)
+        # Length-1 slices, not integers, on the passive axes: the slab
+        # stays a writable view even when no dimension is chosen.
+        slab = ordered[
+            (slice(None),) * len(chosen)
+            + tuple(slice(x, x + 1) for x in fixed)
+        ]
+        for box, delta in regions:
+            view = slab[box.slices()]
+            view[...] = operator.apply(view, delta)
+    return written
 
 
 def apply_updates_naive(
@@ -186,18 +229,25 @@ def contract_updates_to_blocks(
     updates: Sequence[PointUpdate],
     block_size: int,
     operator: InvertibleOperator = SUM,
+    dims: Sequence[int] | None = None,
 ) -> list[PointUpdate]:
     """Phase 1 of the blocked batch update (§5.2).
 
-    Every update's location is contracted to its block index and deltas
-    landing in the same block are combined, so phase 2 can treat each block
-    as one element of the contracted cube.
+    Every update's location is contracted to its block index — along
+    ``dims`` only when given (the blocked dimensions of a §9.1 subset;
+    the others keep their cell coordinate) — and deltas landing in the
+    same block are combined, so phase 2 can treat each block as one
+    element of the contracted cube.
     """
     if block_size < 1:
         raise ValueError(f"block size must be >= 1, got {block_size}")
     contracted = [
         PointUpdate(
-            tuple(x // block_size for x in update.index), update.delta
+            tuple(
+                x // block_size if dims is None or j in dims else x
+                for j, x in enumerate(update.index)
+            ),
+            update.delta,
         )
         for update in updates
     ]

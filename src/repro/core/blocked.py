@@ -21,14 +21,25 @@ into ``3^d`` disjoint sub-regions (Figure 5):
   block-aligned superblock's sum from ``P`` minus a scan of the
   complement cells — whichever touches fewer elements.  The choice is
   made per boundary region independently (Figure 6).
+
+Section 9's example composes this with §9.1's dimension subsets: *"we may
+first decide that all the queries on dimension d3 do not involve ranges
+and hence even for cuboids that include dimension d3, the prefix sum
+would only be computed on other dimensions.  Next, we may decide to
+compute a prefix sum on ⟨d1, d2, d3⟩ with a block size of 10..."*.  So
+the machinery runs along a chosen subset ``X'`` (``prefix_dims``; every
+dimension by default, which is §4 as written): block contraction, the
+``3^{d'}`` decomposition and the superblock / complement choice apply to
+the chosen dimensions, while the passive ones stay raw everywhere — every
+access becomes a *slab* over the query's passive extent and costs its
+passive volume.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import product
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from typing import TYPE_CHECKING, Any
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -42,6 +53,9 @@ from repro.core.prefix_sum import (
     DENSE_FUZZ_DTYPES,
     DENSE_FUZZ_OPERATORS,
     compute_prefix_array,
+    slab_cells,
+    split_prefix_dims,
+    theorem1_sum,
 )
 from repro.index.backend import ArrayBackend, resolve_backend
 from repro.index.protocol import RangeSumIndexMixin
@@ -50,13 +64,16 @@ from repro.instrumentation import NULL_COUNTER, AccessCounter
 
 
 def block_contract(
-    cube: np.ndarray, block_size: int, operator: InvertibleOperator = SUM
+    cube: np.ndarray,
+    block_size: int,
+    operator: InvertibleOperator = SUM,
+    axes: Sequence[int] | None = None,
 ) -> np.ndarray:
     """Aggregate each ``b × ... × b`` block of the cube to one cell (§4.3).
 
     This is the first phase of the two-phase blocked construction: the cube
-    is contracted by a factor of ``b`` in every dimension (the final block
-    per dimension may be partial).
+    is contracted by a factor of ``b`` along ``axes`` (every dimension by
+    default; the final block per dimension may be partial).
     """
     if block_size < 1:
         raise ValueError(f"block size must be >= 1, got {block_size}")
@@ -65,7 +82,7 @@ def block_contract(
     # contraction runs in the operator's accumulation dtype (same policy
     # as the prefix sweeps themselves).
     target = operator.accumulation_dtype(cube.dtype)
-    for axis in range(cube.ndim):
+    for axis in range(cube.ndim) if axes is None else axes:
         edges = np.arange(0, contracted.shape[axis], block_size)
         if isinstance(operator.apply, np.ufunc):
             contracted = operator.apply.reduceat(
@@ -74,18 +91,6 @@ def block_contract(
         else:  # pragma: no cover - all shipped operators are ufuncs
             raise TypeError("block contraction requires a ufunc operator")
     return contracted
-
-
-@dataclass(frozen=True)
-class _DimensionPlan:
-    """Per-dimension decomposition of one query range (paper Figure 4).
-
-    Each entry of ``pieces`` is ``(lo, hi, super_lo, super_hi, internal)``:
-    the sub-range, its block-aligned superblock extent, and whether the
-    sub-range belongs to the internal (block-aligned) band.
-    """
-
-    pieces: tuple[tuple[int, int, int, int, bool], ...]
 
 
 #: Batches with fewer rows than this loop the scalar ``range_sum``;
@@ -101,7 +106,7 @@ def blocked_sum_dispatch(
     hi: np.ndarray,
     counter: AccessCounter,
 ) -> np.ndarray:
-    """Batch range-sums for both blocked structures, by row count alone.
+    """Batch range-sums for the blocked structure, by row count alone.
 
     The one place that chooses between a blocked structure's two query
     paths: the scalar §4.2 ``range_sum`` looped by the protocol mixin,
@@ -110,7 +115,7 @@ def blocked_sum_dispatch(
     ``counter`` identically; only their cost differs with ``K``.
 
     Args:
-        structure: A blocked (partial) prefix-sum cube.
+        structure: A blocked prefix-sum cube.
         lo, hi: ``(K, d)`` bounds already through
             ``normalize_query_arrays(..., allow_empty=True)``.
         counter: Standard access counter.
@@ -164,6 +169,9 @@ class BlockedPrefixSumCube(RangeSumIndexMixin):
         backend: Array backend for the retained cube and the blocked
             prefix array; pass a :class:`~repro.index.MemmapBackend` to
             build out-of-core.
+        prefix_dims: The dimensions blocked and accumulated along (the
+            ``X'`` of §9.1); every dimension by default.  With none
+            chosen every query is one scan of ``A``.
     """
 
     def __init__(
@@ -172,6 +180,7 @@ class BlockedPrefixSumCube(RangeSumIndexMixin):
         block_size: int,
         operator: InvertibleOperator = SUM,
         backend: ArrayBackend | None = None,
+        prefix_dims: Sequence[int] | None = None,
     ) -> None:
         if block_size < 1:
             raise ValueError(f"block size must be >= 1, got {block_size}")
@@ -181,10 +190,22 @@ class BlockedPrefixSumCube(RangeSumIndexMixin):
         self.backend = resolve_backend(backend)
         self.shape = tuple(int(n) for n in cube.shape)
         self.ndim = cube.ndim
+        self.prefix_dims, self.passive_dims = split_prefix_dims(
+            prefix_dims, cube.ndim
+        )
+        # An archive names X' only when the constructor was given one, so
+        # each registry name keeps the key set it has always written.
+        self._dims_given = prefix_dims is not None
         self.source = self.backend.materialize("source", cube)
-        contracted = block_contract(self.source, self.block_size, operator)
+        contracted = block_contract(
+            self.source, self.block_size, operator, self.prefix_dims
+        )
         self.blocked_prefix = compute_prefix_array(
-            contracted, operator, backend=self.backend, name="blocked_prefix"
+            contracted,
+            operator,
+            backend=self.backend,
+            name="blocked_prefix",
+            axes=self.prefix_dims,
         )
         self.block_shape = self.blocked_prefix.shape
 
@@ -195,7 +216,7 @@ class BlockedPrefixSumCube(RangeSumIndexMixin):
 
     @property
     def storage_cells(self) -> int:
-        """Cells of auxiliary storage (the packed blocked array, ~N/b^d)."""
+        """Cells of auxiliary storage (the packed blocked array, ~N/b^d')."""
         return int(np.prod(self.block_shape))
 
     def memory_cells(self) -> int:
@@ -205,18 +226,24 @@ class BlockedPrefixSumCube(RangeSumIndexMixin):
     def index_params(self) -> dict[str, Any]:
         """Construction parameters (reported and persisted)."""
         return {
+            "prefix_dims": self.prefix_dims,
             "block_size": self.block_size,
             "operator": self.operator.name,
         }
 
     def state_dict(self) -> dict[str, Any]:
         """Defining arrays + scalars for generic persistence."""
-        return {
+        state: dict[str, Any] = {
             "operator": self.operator.name,
             "block_size": self.block_size,
-            "source": self.source,
-            "blocked_prefix": self.blocked_prefix,
         }
+        if self._dims_given:
+            state["prefix_dims"] = np.asarray(
+                self.prefix_dims, dtype=np.int64
+            )
+        state["source"] = self.source
+        state["blocked_prefix"] = self.blocked_prefix
+        return state
 
     @classmethod
     def from_state(
@@ -237,6 +264,11 @@ class BlockedPrefixSumCube(RangeSumIndexMixin):
         structure.shape = tuple(int(n) for n in structure.source.shape)
         structure.ndim = structure.source.ndim
         structure.block_shape = structure.blocked_prefix.shape
+        dims = state.get("prefix_dims")
+        structure._dims_given = dims is not None
+        structure.prefix_dims, structure.passive_dims = split_prefix_dims(
+            dims, structure.ndim
+        )
         return structure
 
     # ------------------------------------------------------------------
@@ -246,33 +278,39 @@ class BlockedPrefixSumCube(RangeSumIndexMixin):
     def range_sum(
         self, box: Box, counter: AccessCounter = NULL_COUNTER
     ) -> object:
-        """Evaluate ``Sum(box)`` with the 3^d decomposition of §4.2.
+        """Evaluate ``Sum(box)`` with the 3^d' decomposition of §4.2.
 
         An empty ``box`` yields the operator identity.
         """
         if self._check_box(box):
             return self.operator.identity
-        plans = [
-            self._plan_dimension(lo, hi, n)
-            for lo, hi, n in zip(box.lo, box.hi, self.shape)
-        ]
+        if not self.prefix_dims:
+            # Nothing is accumulated: P mirrors A, so the query is one
+            # scan, charged to the cube like every other read of A.
+            return self._scan_box(box, counter)
         op = self.operator
+        # §4.2 per boundary region: method 1 scans the region's own cells
+        # of A; method 2 reads the superblock's sum from P (2^d' corner
+        # slabs, 2^d' − 1 steps) and scans the complement.  Method 1 wins
+        # iff volume(region) <= volume(complement) + 2^d' − 1 on the
+        # chosen dimensions; every region and slab of one query spans the
+        # same passive extent, so the constant is scaled by it and the
+        # volumes are full-dimension ones.
+        overhead = ((1 << len(self.prefix_dims)) - 1) * slab_cells(
+            self.passive_dims, box
+        )
         result = op.identity
-        for combo in product(*(plan.pieces for plan in plans)):
-            region = Box(
-                tuple(piece[0] for piece in combo),
-                tuple(piece[1] for piece in combo),
-            )
-            if region.is_empty:
-                continue
-            if all(piece[4] for piece in combo):
+        for region, superblock, internal in self._regions(box):
+            if internal:
                 value = self._aligned_region_sum(region, counter)
+            elif region.volume <= (
+                superblock.volume - region.volume + overhead
+            ):
+                value = self._scan_box(region, counter)
             else:
-                superblock = Box(
-                    tuple(piece[2] for piece in combo),
-                    tuple(piece[3] for piece in combo),
-                )
-                value = self._boundary_region_sum(region, superblock, counter)
+                value = self._aligned_region_sum(superblock, counter)
+                for piece in box_difference(superblock, region):
+                    value = op.invert(value, self._scan_box(piece, counter))
             result = op.apply(result, value)
         return result
 
@@ -305,46 +343,62 @@ class BlockedPrefixSumCube(RangeSumIndexMixin):
         return self.range_sum(full_box(self.shape), counter)
 
     def decompose(self, box: Box) -> list[tuple[Box, Box, bool]]:
-        """Expose the 3^d decomposition for inspection and benchmarks.
+        """Expose the 3^d' decomposition for inspection and benchmarks.
 
         Returns:
             ``(region, superblock, is_internal)`` triples covering ``box``
             disjointly, in the Cartesian-product order of Figure 5 (empty
-            for an empty ``box``).
+            for an empty ``box``).  Every box spans all ``d`` dimensions;
+            on a passive one it carries the query's own extent.
         """
         if self._check_box(box):
             return []
-        plans = [
-            self._plan_dimension(lo, hi, n)
-            for lo, hi, n in zip(box.lo, box.hi, self.shape)
-        ]
-        out: list[tuple[Box, Box, bool]] = []
-        for combo in product(*(plan.pieces for plan in plans)):
-            region = Box(
-                tuple(piece[0] for piece in combo),
-                tuple(piece[1] for piece in combo),
-            )
-            if region.is_empty:
-                continue
-            superblock = Box(
-                tuple(piece[2] for piece in combo),
-                tuple(piece[3] for piece in combo),
-            )
-            out.append((region, superblock, all(p[4] for p in combo)))
-        return out
+        return list(self._regions(box))
 
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
 
-    def _plan_dimension(self, lo: int, hi: int, size: int) -> _DimensionPlan:
-        """Split one dimension's range per Figure 4 / §4.2.
+    def _regions(self, box: Box) -> Iterator[tuple[Box, Box, bool]]:
+        """The decomposition of a valid, non-empty ``box``."""
+        plans = [
+            self._plan_dimension(j, lo, hi)
+            for j, (lo, hi) in enumerate(zip(box.lo, box.hi))
+        ]
+        for combo in product(*plans):
+            yield (
+                Box(
+                    tuple(piece[0] for piece in combo),
+                    tuple(piece[1] for piece in combo),
+                ),
+                Box(
+                    tuple(piece[2] for piece in combo),
+                    tuple(piece[3] for piece in combo),
+                ),
+                all(piece[4] for piece in combo),
+            )
+
+    def _plan_dimension(
+        self, j: int, lo: int, hi: int
+    ) -> tuple[tuple[int, int, int, int, bool], ...]:
+        """Split dimension ``j``'s range per Figure 4 / §4.2.
+
+        Each piece is ``(lo, hi, super_lo, super_hi, internal)``: the
+        sub-range, its block-aligned superblock extent, and whether the
+        sub-range belongs to the internal (block-aligned) band.
 
         Case 1 (``l' < h'``): three adjoining sub-ranges, the middle one
-        aligned with the block structure.  Case 2: the range does not span
-        a full block, so it stays whole with superblock ``l'' : h'' − 1``.
+        aligned with the block structure (the first is dropped when ``lo``
+        is itself aligned and leaves it empty).  Case 2: the range does
+        not span a full block, so it stays whole with superblock
+        ``l'' : h'' − 1``.  A passive dimension is never split: its one
+        piece is its own superblock and leaves the internal/boundary
+        verdict to the rest.
         """
+        if j in self.passive_dims:
+            return ((lo, hi, lo, hi, True),)
         b = self.block_size
+        size = self.shape[j]
         low_aligned = b * (lo // b)  # l''
         low_up = b * math.ceil(lo / b)  # l'
         high_down = b * (hi // b)  # h'
@@ -355,13 +409,15 @@ class BlockedPrefixSumCube(RangeSumIndexMixin):
             high_up = min(high_down + b, size)
         if low_up < high_down:
             pieces = (
-                (lo, low_up - 1, low_aligned, low_up - 1, False),
                 (low_up, high_down - 1, low_up, high_down - 1, True),
                 (high_down, hi, high_down, high_up - 1, False),
             )
-        else:
-            pieces = ((lo, hi, low_aligned, high_up - 1, False),)
-        return _DimensionPlan(pieces)
+            if lo < low_up:
+                return (
+                    (lo, low_up - 1, low_aligned, low_up - 1, False),
+                ) + pieces
+            return pieces
+        return ((lo, hi, low_aligned, high_up - 1, False),)
 
     def _aligned_region_sum(
         self, region: Box, counter: AccessCounter
@@ -369,84 +425,51 @@ class BlockedPrefixSumCube(RangeSumIndexMixin):
         """Sum of a block-aligned region from the blocked ``P`` alone.
 
         ``region`` must start at a multiple of ``b`` and end at
-        ``(multiple of b) − 1`` or the cube edge in every dimension; it
-        then maps exactly onto a range of contracted blocks and Theorem 1
-        applies to the contracted prefix array.
+        ``(multiple of b) − 1`` or the cube edge in every chosen
+        dimension; it then maps exactly onto a range of contracted blocks
+        and Theorem 1 applies to the contracted prefix array.
         """
         b = self.block_size
-        block_lo = tuple(l // b for l in region.lo)
-        block_hi = tuple(h // b for h in region.hi)
-        op = self.operator
-        positive = op.identity
-        negative = op.identity
-        for corner_choice in product((False, True), repeat=self.ndim):
-            index = tuple(
-                block_hi[j] if take_hi else block_lo[j] - 1
-                for j, take_hi in enumerate(corner_choice)
-            )
-            if any(x < 0 for x in index):
-                continue
-            counter.count_prefix()
-            value = self.blocked_prefix[index]
-            if corner_choice.count(False) % 2 == 0:
-                positive = op.apply(positive, value)
-            else:
-                negative = op.apply(negative, value)
-        return op.invert(positive, negative)
+        return theorem1_sum(
+            self,
+            self.blocked_prefix,
+            [l // b for l in region.lo],
+            [h // b for h in region.hi],
+            region,
+            counter,
+        )
 
     def _scan_box(self, box: Box, counter: AccessCounter) -> object:
         """Aggregate raw cube cells of ``box``, charging one read each."""
         counter.count_cube(box.volume)
         return self.operator.reduce_box(self.source[box.slices()])
 
-    def _boundary_region_sum(
-        self, region: Box, superblock: Box, counter: AccessCounter
-    ) -> object:
-        """Resolve one boundary region by the cheaper of the two methods.
-
-        Method 1 scans the region's own ``volume`` cells of ``A``.
-        Method 2 reads the superblock's sum from ``P`` (≤ 2^d reads,
-        2^d − 1 steps) and scans the complement's cells.  Per §4.2 the
-        algorithm picks method 1 iff
-        ``volume(region) <= volume(complement) + 2^d − 1``.
-        """
-        direct_cost = region.volume
-        complement_volume = superblock.volume - region.volume
-        complement_cost = complement_volume + (1 << self.ndim) - 1
-        if direct_cost <= complement_cost:
-            return self._scan_box(region, counter)
-        op = self.operator
-        total = self._aligned_region_sum(superblock, counter)
-        for piece in box_difference(superblock, region):
-            total = op.invert(total, self._scan_box(piece, counter))
-        return total
-
     def explain(self, box: Box) -> str:
-        """A human-readable plan for ``Sum(box)`` (the 3^d decomposition).
+        """A human-readable plan for ``Sum(box)`` (the 3^d' decomposition).
 
         Lists every sub-region with the method the algorithm will choose
         and its estimated element accesses — useful when tuning block
         sizes interactively.
         """
+        regions = self.decompose(box)
         lines = [
             f"Sum({', '.join(f'{l}:{h}' for l, h in zip(box.lo, box.hi))})"
             f"  [volume {box.volume}, b = {self.block_size}]"
         ]
+        slab = slab_cells(self.passive_dims, box)
+        reads = (1 << len(self.prefix_dims)) * slab  # one aligned sum
+        overhead = reads - slab
         total = 0
-        for region, superblock, internal in self.decompose(box):
+        for region, superblock, internal in regions:
             if internal:
-                cost = 1 << self.ndim
+                cost = reads
                 lines.append(
                     f"  internal  {region}  -> prefix array "
                     f"(~{cost} reads)"
                 )
             else:
                 direct = region.volume
-                complement = (
-                    superblock.volume - region.volume
-                    + (1 << self.ndim)
-                    - 1
-                )
+                complement = superblock.volume - region.volume + overhead
                 if direct <= complement:
                     cost = direct
                     lines.append(
@@ -454,12 +477,12 @@ class BlockedPrefixSumCube(RangeSumIndexMixin):
                         f"({direct} cells)"
                     )
                 else:
-                    cost = complement + 1
+                    cost = superblock.volume - region.volume + reads
                     lines.append(
                         f"  boundary  {region}  -> superblock "
                         f"{superblock} − complement "
                         f"({superblock.volume - region.volume} cells "
-                        f"+ ~{1 << self.ndim} reads)"
+                        f"+ ~{reads} reads)"
                     )
             total += cost
         lines.append(
@@ -471,9 +494,12 @@ class BlockedPrefixSumCube(RangeSumIndexMixin):
     def apply_updates(self, updates: Sequence[PointUpdate]) -> int:
         """Apply a batch of point updates with the two-phase §5.2 scheme.
 
-        Phase 1 contracts the updates block-wise; phase 2 runs the basic
-        batch-update recursion on the blocked prefix array.  The raw cube
-        is updated point-wise (it must stay exact for boundary scans).
+        Phase 1 contracts the updates block-wise along ``X'``; phase 2
+        runs the batch-update recursion on the blocked prefix array.  The
+        raw cube is updated point-wise (it must stay exact for boundary
+        scans).  The whole batch is validated (arity, range, sign) before
+        the first write, so a rejected batch leaves both arrays as they
+        were.
 
         Returns:
             The number of delta-uniform regions written into the blocked
@@ -486,16 +512,16 @@ class BlockedPrefixSumCube(RangeSumIndexMixin):
         from repro.kernels import resolve_kernel
         from repro.kernels.segments import flatten_updates
 
-        if len(updates):
-            flat, deltas = flatten_updates(updates, self.shape)
+        flat, deltas = flatten_updates(updates, self.shape)
+        if len(flat):
             resolve_kernel(self.kernel).scatter(
                 self.source.reshape(-1), flat, deltas, self.operator
             )
         contracted = contract_updates_to_blocks(
-            updates, self.block_size, self.operator
+            updates, self.block_size, self.operator, self.prefix_dims
         )
         regions = apply_batch_to_prefix(
-            self.blocked_prefix, contracted, self.operator
+            self.blocked_prefix, contracted, self.operator, self.prefix_dims
         )
         self.backend.flush()
         return regions
@@ -503,3 +529,39 @@ class BlockedPrefixSumCube(RangeSumIndexMixin):
     def _check_box(self, box: Box) -> bool:
         """Validate ``box``; True means empty (answer is the identity)."""
         return check_query_box(box, self.shape)
+
+
+def _sample_blocked_partial_params(
+    rng: np.random.Generator, shape: tuple[int, ...]
+) -> dict[str, Any]:
+    """Draw a prefix-dimension subset plus a blocking factor."""
+    mask = rng.integers(0, 2, size=len(shape))
+    return {
+        "prefix_dims": tuple(int(j) for j in np.nonzero(mask)[0]),
+        "block_size": int(rng.integers(1, 6)),
+    }
+
+
+@register_index(
+    "blocked_partial_prefix_sum",
+    kind="sum",
+    fuzz_profile=FuzzProfile(
+        dtypes=DENSE_FUZZ_DTYPES,
+        operators=DENSE_FUZZ_OPERATORS,
+        sample_params=_sample_blocked_partial_params,
+    ),
+)
+class BlockedPartialPrefixSumCube(BlockedPrefixSumCube):
+    """§9 preset of :class:`BlockedPrefixSumCube`: ``X'`` required, first."""
+
+    def __init__(
+        self,
+        cube: np.ndarray,
+        prefix_dims: Sequence[int],
+        block_size: int,
+        operator: InvertibleOperator = SUM,
+        backend: ArrayBackend | None = None,
+    ) -> None:
+        super().__init__(
+            cube, block_size, operator, backend, prefix_dims=tuple(prefix_dims)
+        )

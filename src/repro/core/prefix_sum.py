@@ -1,4 +1,4 @@
-"""The basic prefix-sum range-sum method (paper §3).
+"""The prefix-sum range-sum method (paper §3, and §9.1's subsets of it).
 
 Precompute ``P[x1..xd] = Sum(0:x1, ..., 0:xd)`` — a d-dimensional prefix-sum
 array the same size as the cube — and answer any range-sum by combining at
@@ -13,6 +13,19 @@ and ``P[..] = 0`` whenever any coordinate is ``−1``.
 The construction (§3.3) runs d one-dimensional sweeps, one per dimension,
 reusing a single output array — a direct map onto ``op.accumulate`` per
 axis (``np.cumsum`` for SUM).
+
+Section 9.1 observes that prefix-summing every dimension is wasteful when
+queries never put ranges on some attribute: each prefix-summed dimension
+contributes a factor 2 to every query's term count, while a passive
+dimension contributes only its selected length (1 for a singleton).  The
+example: with ranges only ever on d1 and d2, computing prefix sums along
+d1 and d2 alone answers queries in ``2² − 1 = 3`` steps instead of
+``2³ − 1 = 7``.  So the sweeps run along a chosen subset ``X'`` of the
+dimensions (``prefix_dims``; every dimension by default, which is §3 as
+written) and a query combines ``2^{d'}`` corner *slabs*, each summed over
+the query's extent in the unchosen dimensions — an access cost of exactly
+``2^{d'} · ∏_{j ∉ X'} r_j``, the multiplicative model the §9.1 selection
+algorithms optimize.
 
 The structure generalizes to any invertible operator pair (§1); signs
 become applications of ``⊕`` / ``⊖``.
@@ -37,7 +50,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.core.batch_update import PointUpdate
 
 #: Every cube dtype the dense prefix-sum family accepts — shared by the
-#: fuzz profiles of all four §3/§4/§9.1 structures.
+#: fuzz profiles of all four §3/§4/§9.1 registry names.
 DENSE_FUZZ_DTYPES = (
     "bool",
     "int8",
@@ -87,13 +100,47 @@ def accumulate_axis_inplace(
         prefix[...] = operator.accumulate(prefix, axis)
 
 
+def split_prefix_dims(
+    prefix_dims: Sequence[int] | None, ndim: int
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Normalize a §9.1 subset ``X'`` into ``(chosen, passive)`` dims.
+
+    ``None`` chooses every dimension; duplicates collapse; the empty
+    subset is legal (nothing is accumulated).
+
+    Raises:
+        ValueError: A chosen dimension lies outside ``0 .. ndim − 1``.
+    """
+    if prefix_dims is None:
+        return tuple(range(ndim)), ()
+    chosen = sorted(set(int(j) for j in prefix_dims))
+    if chosen and not 0 <= chosen[0] <= chosen[-1] < ndim:
+        raise ValueError(
+            f"prefix dims {prefix_dims} out of range for a {ndim}-d cube"
+        )
+    return (
+        tuple(chosen),
+        tuple(j for j in range(ndim) if j not in chosen),
+    )
+
+
+def slab_cells(passive_dims: Sequence[int], box: Box) -> int:
+    """Cells of ``box``'s extent over the passive dimensions (§9.1's
+    ``∏_{j ∉ X'} r_j``): what one corner slab of a query costs."""
+    cells = 1
+    for j in passive_dims:
+        cells *= box.hi[j] - box.lo[j] + 1
+    return cells
+
+
 def compute_prefix_array(
     cube: np.ndarray,
     operator: InvertibleOperator = SUM,
     backend: ArrayBackend | None = None,
     name: str = "prefix",
+    axes: Sequence[int] | None = None,
 ) -> np.ndarray:
-    """Build the prefix array ``P`` from ``A`` with d axis sweeps (§3.3).
+    """Build the prefix array ``P`` from ``A`` with one sweep per axis (§3.3).
 
     The sweeps follow the storage order (one pass per dimension over the
     whole array), which is the paper's paging-friendly schedule: each page
@@ -107,6 +154,9 @@ def compute_prefix_array(
             :class:`~repro.index.MemmapBackend` builds ``P`` out-of-core
             (each sweep runs in place through the page cache).
         name: Label for file-backed allocations.
+        axes: The dimensions to accumulate along (§9.1's ``X'``); every
+            dimension by default.  With no axes ``P`` is a copy of ``A``
+            in ``A``'s own dtype.
 
     Returns:
         A new array of the same shape holding every prefix aggregate.
@@ -114,14 +164,77 @@ def compute_prefix_array(
     cube = np.asarray(cube)
     if cube.ndim == 0:
         raise ValueError("the data cube must have at least one dimension")
+    if axes is None:
+        axes = range(cube.ndim)
     backend = resolve_backend(backend)
-    prefix = backend.empty(name, cube.shape, accumulated_dtype(
-        operator, cube.dtype
-    ))
+    dtype = accumulated_dtype(operator, cube.dtype) if axes else cube.dtype
+    prefix = backend.empty(name, cube.shape, dtype)
     prefix[...] = cube
-    for axis in range(prefix.ndim):
+    for axis in axes:
         accumulate_axis_inplace(prefix, operator, axis)
     return prefix
+
+
+def theorem1_sum(
+    structure: Any,
+    prefix: np.ndarray,
+    lo: Sequence[int],
+    hi: Sequence[int],
+    box: Box,
+    counter: AccessCounter,
+) -> object:
+    """Theorem 1 over ``prefix`` along ``structure.prefix_dims``.
+
+    The one inclusion–exclusion loop of the dense family: §3 runs it on
+    ``P`` in cell coordinates, §4 on the blocked ``P`` in block
+    coordinates.
+
+    Args:
+        structure: Supplies ``operator``, ``prefix_dims`` and
+            ``passive_dims``.
+        prefix: The array accumulated along ``prefix_dims``.
+        lo, hi: Per dimension, the inclusive bounds in ``prefix``'s
+            coordinates (only the chosen dimensions are read; a low
+            corner reads ``lo[j] − 1``, the implicit identity when
+            ``−1``).
+        box: The region in cell coordinates; its passive extents are
+            the slab every corner is reduced over.
+        counter: Charged one ``prefix_cells`` unit per cell of ``prefix``
+            actually read.
+    """
+    op = structure.operator
+    dims = structure.prefix_dims
+    passive = structure.passive_dims
+    if passive:
+        index: list[object] = list(box.slices())
+        cells = slab_cells(passive, box)
+    positive = op.identity
+    negative = op.identity
+    for corner_choice in product((False, True), repeat=len(dims)):
+        corner = tuple(
+            hi[j] if take_hi else lo[j] - 1
+            for j, take_hi in zip(dims, corner_choice)
+        )
+        if -1 in corner:
+            # Bounds are non-negative, so ``lo − 1 = −1`` is the only
+            # coordinate outside the array: the implicit identity.
+            continue
+        if passive:
+            counter.count_prefix(cells)
+            for j, x in zip(dims, corner):
+                index[j] = x
+            value = op.reduce_box(prefix[tuple(index)])
+        else:
+            # Every dimension is chosen, so the corner is one cell: a
+            # plain index, not a 0-d slab through ``reduce_box`` (which
+            # made the §3/§4 hot path 1.3–3x slower).
+            counter.count_prefix()
+            value = prefix[corner]
+        if corner_choice.count(False) % 2 == 0:
+            positive = op.apply(positive, value)
+        else:
+            negative = op.apply(negative, value)
+    return op.invert(positive, negative)
 
 
 @register_index(
@@ -135,13 +248,14 @@ def compute_prefix_array(
 class PrefixSumCube(RangeSumIndexMixin):
     """Range-sum index over a dense cube via precomputed prefix sums (§3).
 
-    Any range-sum is answered in at most ``2^d`` reads of ``P`` and
-    ``2^d − 1`` combining steps, independent of the query volume.
+    Any range-sum is answered in at most ``2^{d'}`` slab reads of ``P``
+    and ``2^{d'} − 1`` combining steps; with every dimension chosen that
+    is ``2^d`` cells, independent of the query volume.
 
     The raw cube may be discarded after construction (§3.4,
     ``keep_source=False``): a single cell is itself the degenerate
     range-sum ``Sum(x1:x1, ..., xd:xd)``, so :meth:`cell` recovers it from
-    ``P`` at the same ``2^d`` cost.
+    ``P`` at the same cost.
 
     Args:
         cube: The raw data cube ``A``.
@@ -150,6 +264,10 @@ class PrefixSumCube(RangeSumIndexMixin):
             also want raw-cell reads at unit cost, e.g. benchmarks).
         backend: Array backend for ``P`` (and the retained source); pass
             a :class:`~repro.index.MemmapBackend` to build out-of-core.
+        prefix_dims: Dimensions to accumulate along (the ``X'`` of §9.1);
+            every dimension by default.  The empty subset degenerates to
+            a plain copy of ``A`` (every query is then a full scan of its
+            region).
     """
 
     def __init__(
@@ -158,18 +276,29 @@ class PrefixSumCube(RangeSumIndexMixin):
         operator: InvertibleOperator = SUM,
         keep_source: bool = True,
         backend: ArrayBackend | None = None,
+        prefix_dims: Sequence[int] | None = None,
     ) -> None:
         cube = np.asarray(cube)
         self.operator = operator
         self.backend = resolve_backend(backend)
         self.shape = tuple(int(n) for n in cube.shape)
         self.ndim = cube.ndim
+        self.prefix_dims, self.passive_dims = split_prefix_dims(
+            prefix_dims, cube.ndim
+        )
+        # An archive names X' only when the constructor was given one, so
+        # each registry name keeps the key set it has always written.
+        self._dims_given = prefix_dims is not None
         self.prefix = compute_prefix_array(
-            cube, operator, backend=self.backend
+            cube, operator, backend=self.backend, axes=self.prefix_dims
         )
         self.source: np.ndarray | None = (
             self.backend.materialize("source", cube) if keep_source else None
         )
+        # Lazily built full-prefix cache for the batch query path (an
+        # extra accumulation along the passive dimensions); dropped on
+        # every update so it can never go stale.
+        self._batch_prefix: np.ndarray | None = None
 
     @property
     def size(self) -> int:
@@ -178,7 +307,7 @@ class PrefixSumCube(RangeSumIndexMixin):
 
     @property
     def storage_cells(self) -> int:
-        """Cells of auxiliary storage held (``N`` for the basic method)."""
+        """Cells of auxiliary storage held (always ``N``)."""
         return self.size
 
     def memory_cells(self) -> int:
@@ -187,14 +316,19 @@ class PrefixSumCube(RangeSumIndexMixin):
 
     def index_params(self) -> dict[str, Any]:
         """Construction parameters (reported and persisted)."""
-        return {"operator": self.operator.name}
+        return {
+            "prefix_dims": self.prefix_dims,
+            "operator": self.operator.name,
+        }
 
     def state_dict(self) -> dict[str, Any]:
         """Defining arrays + scalars for generic persistence."""
-        state: dict[str, Any] = {
-            "operator": self.operator.name,
-            "prefix": self.prefix,
-        }
+        state: dict[str, Any] = {"operator": self.operator.name}
+        if self._dims_given:
+            state["prefix_dims"] = np.asarray(
+                self.prefix_dims, dtype=np.int64
+            )
+        state["prefix"] = self.prefix
         if self.source is not None:
             state["source"] = self.source
         return state
@@ -213,10 +347,16 @@ class PrefixSumCube(RangeSumIndexMixin):
         structure.prefix = backend.materialize("prefix", state["prefix"])
         structure.shape = tuple(int(n) for n in structure.prefix.shape)
         structure.ndim = structure.prefix.ndim
+        dims = state.get("prefix_dims")
+        structure._dims_given = dims is not None
+        structure.prefix_dims, structure.passive_dims = split_prefix_dims(
+            dims, structure.ndim
+        )
         source = state.get("source")
         structure.source = (
             None if source is None else backend.materialize("source", source)
         )
+        structure._batch_prefix = None
         return structure
 
     def range_sum(
@@ -226,8 +366,10 @@ class PrefixSumCube(RangeSumIndexMixin):
 
         Args:
             box: Inclusive query region; must lie inside the cube.
-            counter: Charged one ``prefix_cells`` unit per corner of ``P``
-                actually read (corners with a ``−1`` coordinate are the
+            counter: Charged one ``prefix_cells`` unit per cell of ``P``
+                actually read: ``2^{d'}`` corner slabs, each of
+                ``∏_{j ∉ X'} (h_j − l_j + 1)`` cells — the §9.1 model
+                exactly (corners with a ``−1`` coordinate are the
                 implicit zero and cost nothing).
 
         Returns:
@@ -236,24 +378,36 @@ class PrefixSumCube(RangeSumIndexMixin):
         """
         if self._check_box(box):
             return self.operator.identity
-        op = self.operator
-        positive = op.identity
-        negative = op.identity
-        for corner_choice in product((False, True), repeat=self.ndim):
-            index = tuple(
-                box.hi[j] if take_hi else box.lo[j] - 1
-                for j, take_hi in enumerate(corner_choice)
+        return theorem1_sum(
+            self, self.prefix, box.lo, box.hi, box, counter
+        )
+
+    def _batch_prefix_array(self) -> np.ndarray:
+        """The fully accumulated array the batch path gathers from.
+
+        Summing a corner slab over the passive extents equals a
+        difference of cumulative sums along the passive axes, so the
+        whole §9.1 combination collapses to Theorem 1 on the fully
+        accumulated array.  With no passive dimension that array *is*
+        ``P``; otherwise it is a lazily built cache costing one extra
+        ``N``-cell array, which turns a batch of ``K`` queries into a
+        single gather.
+        """
+        if not self.passive_dims:
+            return self.prefix
+        if self._batch_prefix is None:
+            # The stored array keeps the raw dtype when no dimension is
+            # prefix-summed; the cache must still accumulate in the
+            # promoted dtype to match the scalar path's arithmetic.
+            prefix = np.array(
+                self.prefix,
+                copy=True,
+                dtype=self.operator.accumulation_dtype(self.prefix.dtype),
             )
-            if any(x < 0 for x in index):
-                continue
-            counter.count_prefix()
-            value = self.prefix[index]
-            low_corners = corner_choice.count(False)
-            if low_corners % 2 == 0:
-                positive = op.apply(positive, value)
-            else:
-                negative = op.apply(negative, value)
-        return op.invert(positive, negative)
+            for axis in self.passive_dims:
+                prefix = self.operator.accumulate(prefix, axis)
+            self._batch_prefix = prefix
+        return self._batch_prefix
 
     def sum_many(
         self,
@@ -261,18 +415,20 @@ class PrefixSumCube(RangeSumIndexMixin):
         highs: object,
         counter: AccessCounter = NULL_COUNTER,
     ) -> np.ndarray:
-        """Answer ``K`` range-sums with one vectorized gather on ``P``.
+        """Answer ``K`` range-sums with one vectorized gather.
 
         The batch path of :mod:`repro.query.batch`: all ``K · 2^d``
-        Theorem-1 corners are read in a single fancy-indexed gather and
-        combined per query along the corner axis — no per-query Python.
-        Results are element-wise identical to :meth:`range_sum` for
-        exact dtypes.
+        Theorem-1 corners of :meth:`_batch_prefix_array` are read in a
+        single fancy-indexed gather and combined per query along the
+        corner axis — no per-query Python.  Results are element-wise
+        identical to :meth:`range_sum` for exact dtypes.  With passive
+        dimensions, the first call after construction (or after an
+        update batch) pays one accumulation sweep over them.
 
         Args:
             lows: ``(K, d)`` inclusive lower bounds (array-like, ints).
             highs: ``(K, d)`` inclusive upper bounds.
-            counter: Charged per valid corner read, as the scalar path.
+            counter: Charged per valid corner read of the gathered array.
 
         Returns:
             A ``(K,)`` array of aggregates; empty rows (``hi < lo``)
@@ -292,7 +448,7 @@ class PrefixSumCube(RangeSumIndexMixin):
             hi,
             self.operator.identity,
             lambda l, h: prefix_sum_many(
-                self.prefix, l, h, self.operator, counter,
+                self._batch_prefix_array(), l, h, self.operator, counter,
                 kernel=self.kernel,
             ),
         )
@@ -312,12 +468,12 @@ class PrefixSumCube(RangeSumIndexMixin):
         """Rebuild the full raw cube ``A`` from ``P`` (inverse sweeps).
 
         Mirrors :func:`compute_prefix_array`: applies the inverse operator
-        along each axis (adjacent differences for SUM).  Used after the
-        source has been discarded.
+        along each accumulated axis (adjacent differences for SUM).  Used
+        after the source has been discarded.
         """
         cube = np.array(self.prefix, copy=True)
         op = self.operator
-        for axis in range(cube.ndim):
+        for axis in self.prefix_dims:
             shifted = np.take(cube, range(cube.shape[axis] - 1), axis=axis)
             trailing = [slice(None)] * cube.ndim
             trailing[axis] = slice(1, None)
@@ -327,28 +483,80 @@ class PrefixSumCube(RangeSumIndexMixin):
         return cube
 
     def apply_updates(self, updates: Sequence[PointUpdate]) -> int:
-        """Apply a batch of point updates (§5.1) to ``P`` (and ``A``).
+        """Apply a batch of point updates (§5.1 along ``X'``) to ``P``.
+
+        An update at ``x`` dirties exactly the cells with ``y_j >= x_j``
+        on the chosen dimensions and ``y_j == x_j`` on the passive ones.
+        The whole batch is validated (arity, range, sign) before the
+        first write, so a rejected batch leaves ``P`` and ``A`` as they
+        were.
 
         Args:
             updates: Buffered ``(location, value-to-add)`` updates.
 
         Returns:
             The number of delta-uniform regions written into ``P``
-            (bounded by Theorem 2).
+            (bounded by Theorem 2 per distinct passive coordinate).
         """
         from repro.core.batch_update import apply_batch_to_prefix
         from repro.kernels import resolve_kernel
         from repro.kernels.segments import flatten_updates
 
-        if self.source is not None and len(updates):
-            flat, deltas = flatten_updates(updates, self.shape)
+        flat, deltas = flatten_updates(updates, self.shape)
+        self._batch_prefix = None  # the batch-path cache is now stale
+        if self.source is not None and len(flat):
             resolve_kernel(self.kernel).scatter(
                 self.source.reshape(-1), flat, deltas, self.operator
             )
-        regions = apply_batch_to_prefix(self.prefix, updates, self.operator)
+        regions = apply_batch_to_prefix(
+            self.prefix, updates, self.operator, self.prefix_dims
+        )
         self.backend.flush()
         return regions
+
+    def query_cost(self, box: Box) -> int:
+        """The §9.1 model cost of a query: ``2^{d'} · ∏ passive r_j``.
+
+        The actual access count is at most this (origin-anchored corners
+        are free), making the model an upper bound the tests verify.
+        """
+        return (1 << len(self.prefix_dims)) * slab_cells(
+            self.passive_dims, box
+        )
 
     def _check_box(self, box: Box) -> bool:
         """Validate ``box``; True means empty (answer is the identity)."""
         return check_query_box(box, self.shape)
+
+
+def _sample_partial_params(
+    rng: np.random.Generator, shape: tuple[int, ...]
+) -> dict[str, Any]:
+    """Draw a random (possibly empty) prefix-dimension subset."""
+    mask = rng.integers(0, 2, size=len(shape))
+    return {"prefix_dims": tuple(int(j) for j in np.nonzero(mask)[0])}
+
+
+@register_index(
+    "partial_prefix_sum",
+    kind="sum",
+    fuzz_profile=FuzzProfile(
+        dtypes=DENSE_FUZZ_DTYPES,
+        operators=DENSE_FUZZ_OPERATORS,
+        sample_params=_sample_partial_params,
+    ),
+)
+class PartialPrefixSumCube(PrefixSumCube):
+    """§9.1 preset of :class:`PrefixSumCube`: ``X'`` required, ``A`` dropped."""
+
+    def __init__(
+        self,
+        cube: np.ndarray,
+        prefix_dims: Sequence[int],
+        operator: InvertibleOperator = SUM,
+        backend: ArrayBackend | None = None,
+    ) -> None:
+        super().__init__(
+            cube, operator, keep_source=False, backend=backend,
+            prefix_dims=tuple(prefix_dims),
+        )

@@ -92,17 +92,6 @@ class TreeSumHierarchy:
     ) -> object:
         """Evaluate ``Sum(box)`` by tree traversal."""
         self._check_box(box)
-        return self.range_sum_unchecked(box, counter)
-
-    def range_sum_unchecked(
-        self, box: Box, counter: AccessCounter = NULL_COUNTER
-    ) -> object:
-        """:meth:`range_sum` minus validation (see the protocol mixin).
-
-        The batch default validates all ``K`` queries in one vectorized
-        pass and then calls this hook per row, so the per-query bounds
-        check stops dominating small-``K`` profiles.
-        """
         level, node = self._lowest_covering_node(box)
         return self._sum_region(level, node, box, counter)
 

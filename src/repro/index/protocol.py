@@ -202,45 +202,18 @@ class RangeSumIndexMixin(_IndexBase):
         else gains a correct (if unvectorized) batch API for free.
         Empty rows are legal and come back as the scalar path answers
         them (the operator identity).
-
-        Validation is hoisted: the batch is checked once by
-        ``normalize_query_arrays``, and structures that expose a
-        ``range_sum_unchecked(box, counter)`` hook skip their per-query
-        ``check_query_box`` entirely (empty rows short-circuit to the
-        operator identity here).  Structures without the hook fall back
-        to ``range_sum`` row by row, which re-validates.
         """
         from repro.query.batch import normalize_query_arrays
 
         lo, hi = normalize_query_arrays(
             lows, highs, self.shape, allow_empty=True
         )
-        unchecked = getattr(self, "range_sum_unchecked", None)
-        if unchecked is None:
-            results = [
-                self.range_sum(
-                    Box(tuple(int(x) for x in l), tuple(int(x) for x in h)),
-                    counter,
-                )
-                for l, h in zip(lo, hi)
-            ]
-            return np.asarray(results)
-        empty = np.any(hi < lo, axis=1)
-        operator = getattr(self, "operator", None)
-        # Sparse SUM structures don't carry an operator object; their
-        # empty-range answer is the additive identity.
-        identity = operator.identity if operator is not None else 0
         results = [
-            identity
-            if empty[k]
-            else unchecked(
-                Box(
-                    tuple(int(x) for x in lo[k]),
-                    tuple(int(x) for x in hi[k]),
-                ),
+            self.range_sum(
+                Box(tuple(int(x) for x in l), tuple(int(x) for x in h)),
                 counter,
             )
-            for k in range(lo.shape[0])
+            for l, h in zip(lo, hi)
         ]
         return np.asarray(results)
 

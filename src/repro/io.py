@@ -14,9 +14,6 @@ their exact dtype (they are stored as-is in the ``.npz``); scalar
 parameters travel in a JSON side-channel, so ``block_size``, operators,
 and fanouts are preserved exactly.
 
-The per-class helpers (``save_prefix_sum`` / ``load_blocked`` / ...)
-are thin typed wrappers that also check the archive's registry name.
-
 Two persistence shapes coexist:
 
 * ``.npz`` archives (:func:`save_index` / :func:`load_index`) — one
@@ -51,9 +48,6 @@ from repro.index.backend import (
 from repro.index.registry import get_index_info, index_info_for
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.core.blocked import BlockedPrefixSumCube
-    from repro.core.prefix_sum import PrefixSumCube
-    from repro.core.range_max import RangeMaxTree
     from repro.index.backend import ArrayBackend
 
 #: Archive format identifier and version, checked on load.
@@ -286,64 +280,4 @@ def open_index(
     info = get_index_info(str(manifest["index_name"]))
     return info.cls.from_state(
         state, backend=AdoptingBackend(MemoryBackend())
-    )
-
-
-def _load_expecting(
-    expected: str,
-    path: str | os.PathLike | BinaryIO,
-    backend: ArrayBackend | None = None,
-) -> object:
-    """Generic load + registry-name check (the typed wrappers' guard)."""
-    index = load_index(path, backend=backend)
-    name = index_info_for(index).name
-    if name != expected:
-        raise ValueError(
-            f"archive holds a {name!r} structure, expected {expected!r}"
-        )
-    return index
-
-
-def save_prefix_sum(
-    structure: PrefixSumCube, path: str | os.PathLike | BinaryIO
-) -> None:
-    """Persist a :class:`PrefixSumCube` (source included when kept)."""
-    save_index(structure, path)
-
-
-def load_prefix_sum(
-    path: str | os.PathLike | BinaryIO,
-) -> PrefixSumCube:
-    """Load a :class:`PrefixSumCube` without recomputing the prefix."""
-    return _load_expecting("prefix_sum", path)  # type: ignore[return-value]
-
-
-def save_blocked(
-    structure: BlockedPrefixSumCube, path: str | os.PathLike | BinaryIO
-) -> None:
-    """Persist a :class:`BlockedPrefixSumCube` (raw cube included —
-    the blocked method cannot run without it)."""
-    save_index(structure, path)
-
-
-def load_blocked(
-    path: str | os.PathLike | BinaryIO,
-) -> BlockedPrefixSumCube:
-    """Load a :class:`BlockedPrefixSumCube` without recomputation."""
-    return _load_expecting(  # type: ignore[return-value]
-        "blocked_prefix_sum", path
-    )
-
-
-def save_max_tree(
-    tree: RangeMaxTree, path: str | os.PathLike | BinaryIO
-) -> None:
-    """Persist a :class:`RangeMaxTree` (all levels plus the cube)."""
-    save_index(tree, path)
-
-
-def load_max_tree(path: str | os.PathLike | BinaryIO) -> RangeMaxTree:
-    """Load a :class:`RangeMaxTree` without rebuilding its levels."""
-    return _load_expecting(  # type: ignore[return-value]
-        "range_max_tree", path
     )

@@ -168,7 +168,7 @@ def _aligned_many(
     """Block-aligned sums from ``P`` for ``n`` chosen-dim regions.
 
     Args:
-        structure: The blocked structure (full or partial).
+        structure: The blocked structure.
         chosen_lo, chosen_hi: ``(n, d')`` raw-coordinate bounds of
             block-aligned regions over the chosen dimensions.
         owners: ``(n,)`` query rows (supplying the passive extents).
@@ -184,8 +184,8 @@ def _aligned_many(
     prefix = structure.blocked_prefix
     block_lo = chosen_lo // b
     block_hi = chosen_hi // b
-    chosen_dims = _chosen_dims(structure)
-    passive_dims = _passive_dims(structure)
+    chosen_dims = structure.prefix_dims
+    passive_dims = structure.passive_dims
     if not passive_dims:
         # Every dimension is chosen: the slabs are single prefix cells
         # and Theorem 1 applies directly — one corner gather.
@@ -226,19 +226,6 @@ def _aligned_many(
     return op.invert(positive, negative)
 
 
-def _chosen_dims(structure: object) -> tuple[int, ...]:
-    """The prefix-accumulated dimensions (all of them for §4 cubes)."""
-    dims = getattr(structure, "prefix_dims", None)
-    if dims is None:
-        return tuple(range(structure.ndim))
-    return tuple(dims)
-
-
-def _passive_dims(structure: object) -> tuple[int, ...]:
-    chosen = set(_chosen_dims(structure))
-    return tuple(j for j in range(structure.ndim) if j not in chosen)
-
-
 def blocked_sum_many_vectorized(
     structure: object,
     lows: np.ndarray,
@@ -248,14 +235,13 @@ def blocked_sum_many_vectorized(
 ) -> np.ndarray:
     """Batch §4 range-sums with the boundary regions fully vectorized.
 
-    Serves both :class:`~repro.core.blocked.BlockedPrefixSumCube` (all
-    dimensions chosen) and
-    :class:`~repro.core.blocked_partial.BlockedPartialPrefixSumCube`
-    (chosen subset + passive slabs).  Results and access-counter totals
-    match the scalar decomposition exactly, under every backend.
+    Serves :class:`~repro.core.blocked.BlockedPrefixSumCube` for any
+    ``prefix_dims`` (all dimensions chosen, or a chosen subset plus
+    passive slabs).  Results and access-counter totals match the scalar
+    decomposition exactly, under every backend.
 
     Args:
-        structure: A blocked (partial) prefix-sum cube.
+        structure: A blocked prefix-sum cube.
         lows: Validated non-empty ``(K, d)`` inclusive lower bounds.
         highs: Validated ``(K, d)`` inclusive upper bounds.
         kernel: The resolved execution backend.
@@ -272,8 +258,8 @@ def blocked_sum_many_vectorized(
     target = op.accumulation_dtype(prefix.dtype)
     if K == 0:
         return np.zeros(0, dtype=target)
-    chosen_dims = np.asarray(_chosen_dims(structure), dtype=np.int64)
-    passive_dims = np.asarray(_passive_dims(structure), dtype=np.int64)
+    chosen_dims = np.asarray(structure.prefix_dims, dtype=np.int64)
+    passive_dims = np.asarray(structure.passive_dims, dtype=np.int64)
     dprime = len(chosen_dims)
     if dprime == 0:
         # No accumulated dimensions: every query is one raw slab scan.

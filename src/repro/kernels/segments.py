@@ -112,6 +112,12 @@ def flatten_updates(
         ``(indices, deltas)`` — ``(n,)`` flat int64 indices and the delta
         values as an array (object dtype when deltas are mixed Python
         scalars, which :func:`scatter_serial` handles via its fallback).
+
+    Raises:
+        ValueError: A coordinate tuple of the wrong arity, or a
+            coordinate that is negative or not below its extent — the
+            structures call this before their first write, so a rejected
+            batch changes nothing.
     """
     seq = list(updates)  # type: ignore[call-overload]
     if not seq:
@@ -119,6 +125,12 @@ def flatten_updates(
             np.zeros(0, dtype=np.int64),
             np.zeros(0, dtype=np.int64),
         )
+    for update in seq:
+        if len(update.index) != len(shape):
+            raise ValueError(
+                f"update index {update.index} has wrong dimensionality "
+                f"for a {len(shape)}-d cube"
+            )
     coords = np.array([u.index for u in seq], dtype=np.int64)
     flat = np.ravel_multi_index(tuple(coords.T), shape).astype(np.int64)
     deltas = np.array([u.delta for u in seq])

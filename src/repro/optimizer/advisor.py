@@ -146,7 +146,7 @@ def advise(
 
     Args:
         shape: Rank-domain shape of the base cube.
-        queries: The logged queries (e.g. ``QueryLog.queries``).
+        queries: The logged queries (e.g. ``WorkloadObserver.queries``).
         space_budget: Auxiliary cells allowed for all prefix structures.
         max_block: Largest block size the selector considers.
         restrict_prefix_dims: Apply the §9.1 heuristic *per chosen

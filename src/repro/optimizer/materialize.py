@@ -30,7 +30,6 @@ from repro.query.ranges import RangeQuery, SpecKind
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.batch_update import PointUpdate
     from repro.core.blocked import BlockedPrefixSumCube
-    from repro.core.blocked_partial import BlockedPartialPrefixSumCube
     from repro.index.backend import ArrayBackend
 
 
@@ -39,7 +38,7 @@ class MaterializedCuboid:
     """One built cuboid: its key and the prefix structure over it."""
 
     key: CuboidKey
-    structure: BlockedPrefixSumCube | BlockedPartialPrefixSumCube
+    structure: BlockedPrefixSumCube
 
     @property
     def block_size(self) -> int:
@@ -95,7 +94,7 @@ class MaterializedCuboidSet:
         cls,
         base: np.ndarray,
         plan: Sequence[Materialization],
-        structures: Sequence[BlockedPrefixSumCube | BlockedPartialPrefixSumCube],
+        structures: Sequence[BlockedPrefixSumCube],
         backend: ArrayBackend | None = None,
     ) -> MaterializedCuboidSet:
         """Assemble a set whose structures were built elsewhere.

@@ -8,7 +8,6 @@ from repro.query.batch import (
     rolling_window_bounds,
 )
 from repro.query.engine import RangeQueryEngine
-from repro.query.logbook import QueryLog
 from repro.query.naive import (
     naive_max_index,
     naive_max_value,
@@ -39,7 +38,6 @@ from repro.query.workload import (
 )
 
 __all__ = [
-    "QueryLog",
     "QueryStatistics",
     "RangeQuery",
     "RangeQueryEngine",

@@ -2,14 +2,13 @@
 
 Section 9 assumes the physical-design algorithms are *"given either a
 query log, or statistics which capture the average query statistics for
-each cuboid as well as the number of queries"*.  The original
-:class:`~repro.query.logbook.QueryLog` produced that input by retaining
-every query forever — fine for offline tuning, wrong for an online
-advisor: memory grows without bound and last week's dashboard traffic
-outvotes the workload of the last five minutes.
+each cuboid as well as the number of queries"*.  Retaining every query
+forever is fine for offline tuning but wrong for an online advisor:
+memory grows without bound and last week's dashboard traffic outvotes
+the workload of the last five minutes.
 
-:class:`WorkloadObserver` replaces those internals with a bounded ring
-buffer plus exponential event decay:
+:class:`WorkloadObserver` is a bounded ring buffer plus exponential
+event decay:
 
 * at most ``capacity`` queries are retained (the ring drops the oldest);
 * every observed event (query *or* update) ages earlier events by a
@@ -21,23 +20,34 @@ buffer plus exponential event decay:
   :class:`WorkloadSnapshot` the §9 advisor consumes without racing the
   live stream.
 
-``capacity=None`` with ``decay=1.0`` degenerates to the historical
-grow-forever, uniformly-weighted log, which is how
-:class:`~repro.query.logbook.QueryLog` keeps its exact legacy behaviour
-as a compatibility shim over this class.
+``capacity=None`` with ``decay=1.0`` degenerates to a grow-forever,
+uniformly-weighted log — what ``ServeConfig(logbook_path=...)`` records
+into.  The retained queries serialize to plain JSON
+(:meth:`WorkloadObserver.save` / :meth:`WorkloadObserver.load`) so the
+serve → log → re-tune → re-materialize loop can run offline.
+
+.. note::
+   ``WorkloadObserver`` deliberately has **no truth value**: it defines
+   ``__len__``, so ``if log:`` would silently mean "non-empty", and a
+   zero-traffic log would vanish from ``is it configured?`` checks (the
+   ``save_logbooks`` bug fixed in the serving layer's review).  ``bool``
+   on an observer raises; write ``log is not None`` for presence and
+   ``len(log)`` for traffic.
 """
 
 from __future__ import annotations
 
+import json
+import os
 from collections import deque
 from dataclasses import dataclass, field
 from collections.abc import Sequence
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Any, NoReturn
 
 import numpy as np
 
 from repro._util import Box
-from repro.query.ranges import RangeQuery
+from repro.query.ranges import RangeQuery, RangeSpec, SpecKind
 from repro.query.stats import QueryStatistics, average_statistics
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -152,7 +162,7 @@ class WorkloadObserver:
     Args:
         shape: Rank-domain shape of the cube the traffic targets.
         capacity: Queries retained in the ring buffer; ``None`` retains
-            everything (the legacy :class:`QueryLog` behaviour).
+            everything (an offline query log).
         decay: Per-event aging factor in ``(0, 1]``.  ``1.0`` weights
             all retained events equally; ``0.999`` halves an entry's
             vote roughly every 700 events.
@@ -183,6 +193,18 @@ class WorkloadObserver:
     def __len__(self) -> int:
         """Queries currently retained in the window."""
         return len(self._ring)
+
+    def __bool__(self) -> NoReturn:
+        """Refuse truthiness outright — it has two plausible meanings.
+
+        ``__len__`` would make ``bool(log)`` mean "has entries", which
+        reads identically to the presence check ``if logbook:`` — the
+        exact confusion behind the ``save_logbooks`` zero-traffic bug.
+        """
+        raise TypeError(
+            "WorkloadObserver has no truth value: use 'log is not None' "
+            "for presence and 'len(log)' for traffic"
+        )
 
     # ------------------------------------------------------------------
     # Recording
@@ -266,3 +288,59 @@ class WorkloadObserver:
         self._events = 0
         self.queries_seen = 0
         self.updates_seen = 0
+
+    # ------------------------------------------------------------------
+    # Persistence
+    # ------------------------------------------------------------------
+
+    def to_json(self) -> str:
+        """Serialize the retained queries (shape + per-query specs)."""
+        payload = {
+            "shape": list(self.shape),
+            "queries": [
+                [_spec_to_json(spec) for spec in query.specs]
+                for query in self.queries
+            ],
+        }
+        return json.dumps(payload)
+
+    def save(self, path: str | os.PathLike[str]) -> None:
+        """Write the JSON serialization to a file."""
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(self.to_json())
+
+    @classmethod
+    def from_json(cls, text: str) -> WorkloadObserver:
+        """Rebuild an unbounded, uniform-weight log from :meth:`to_json`."""
+        payload = json.loads(text)
+        log = cls(payload["shape"], capacity=None, decay=1.0)
+        for specs in payload["queries"]:
+            log.observe_query(
+                RangeQuery(tuple(_spec_from_json(s) for s in specs))
+            )
+        return log
+
+    @classmethod
+    def load(cls, path: str | os.PathLike[str]) -> WorkloadObserver:
+        """Read a log previously written by :meth:`save`."""
+        with open(path, encoding="utf-8") as handle:
+            return cls.from_json(handle.read())
+
+
+def _spec_to_json(spec: RangeSpec) -> list[object]:
+    if spec.kind is SpecKind.ALL:
+        return ["all"]
+    if spec.kind is SpecKind.SINGLETON:
+        return ["at", spec.lo]
+    return ["between", spec.lo, spec.hi]
+
+
+def _spec_from_json(data: Sequence[Any]) -> RangeSpec:
+    kind = data[0]
+    if kind == "all":
+        return RangeSpec.all()
+    if kind == "at":
+        return RangeSpec.at(int(data[1]))
+    if kind == "between":
+        return RangeSpec.between(int(data[1]), int(data[2]))
+    raise ValueError(f"unknown spec kind {kind!r}")

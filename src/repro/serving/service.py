@@ -57,7 +57,6 @@ from repro.optimizer.cost_model import boundary_cells_per_surface
 from repro.optimizer.cuboid_selection import Materialization
 from repro.optimizer.materialize import MaterializedCuboidSet
 from repro.query.engine import RangeQueryEngine
-from repro.query.logbook import QueryLog
 from repro.query.observer import WorkloadObserver, WorkloadSnapshot
 from repro.query.ranges import RangeQuery, RangeSpec, canonical_box
 from repro.serving.admission import AdmissionController
@@ -100,7 +99,8 @@ class ServeConfig:
             (only created when no registered engine provides a shareable
             threaded-kernel pool); ``None`` means ``os.cpu_count()``.
         logbook_path: When set, every registered cube records served
-            traffic to a :class:`~repro.query.logbook.QueryLog` and
+            traffic to an unbounded, uniform-weight
+            :class:`~repro.query.observer.WorkloadObserver` and
             :meth:`QueryService.save_logbooks` writes them next to this
             path (the §9 advisor workload format).
         observer_capacity: Queries each cube's live
@@ -158,7 +158,7 @@ class ServedCube:
     generation: int = 0
     queries: int = 0
     updates_applied: int = 0
-    logbook: QueryLog | None = None
+    logbook: WorkloadObserver | None = None
     #: The live workload window the adaptive advisor plans from.
     observer: WorkloadObserver | None = None
     #: Audit trail of adaptive plan swaps (the ``/design`` view).
@@ -355,7 +355,9 @@ class QueryService:
             design_backend=backend,
         )
         if self.config.logbook_path is not None:
-            served.logbook = QueryLog(served.shape)
+            served.logbook = WorkloadObserver(
+                served.shape, capacity=None, decay=1.0
+            )
         if self.config.observer_capacity > 0:
             served.observer = WorkloadObserver(
                 served.shape,
@@ -768,7 +770,7 @@ class QueryService:
             )
             self.cache.put(key, generation, value)
         if cube.logbook is not None:
-            cube.logbook.record_box(box)
+            cube.logbook.observe_box(box)
         if cube.observer is not None:
             cube.observer.observe_box(box, op)
         cube.queries += 1
@@ -814,7 +816,7 @@ class QueryService:
         )
         if cube.logbook is not None:
             for box in boxes:
-                cube.logbook.record_box(box)
+                cube.logbook.observe_box(box)
         if cube.observer is not None:
             for box in boxes:
                 cube.observer.observe_box(box, op)
@@ -1051,8 +1053,8 @@ class QueryService:
         ``logbook_path``; with several, each writes
         ``<stem>-<cube><suffix>``.  The decision is based on how many
         cubes *carry* logbooks, not which received traffic — a
-        zero-query logbook still writes (``QueryLog`` is falsy when
-        empty, so the filter must be an ``is not None`` check), and in a
+        zero-query logbook still writes (the filter is an ``is not
+        None`` check; an observer has no truth value), and in a
         multi-cube service the bare path is never ambiguously claimed by
         whichever cube happened to see load.  Returns the written paths.
         """

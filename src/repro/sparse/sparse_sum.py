@@ -152,12 +152,6 @@ class SparseRangeSum1D(RangeSumIndexMixin):
         """
         if check_query_box(box, self.shape):
             return 0
-        return self.range_sum_unchecked(box, counter)
-
-    def range_sum_unchecked(
-        self, box: Box, counter: AccessCounter = NULL_COUNTER
-    ) -> object:
-        """:meth:`range_sum` minus validation (batch default hook)."""
         (lo,), (hi,) = box.lo, box.hi
         if self.block_size > 1:
             total = self._prefix_through(hi, counter)
@@ -294,12 +288,6 @@ class SparseRangeSumEngine(RangeSumIndexMixin):
         """
         if check_query_box(box, self.shape):
             return 0
-        return self.range_sum_unchecked(box, counter)
-
-    def range_sum_unchecked(
-        self, box: Box, counter: AccessCounter = NULL_COUNTER
-    ) -> object:
-        """:meth:`range_sum` minus validation (batch default hook)."""
         total = 0
         query_rect = Rect.from_box(box)
         for rect, payload in self.rtree.search(query_rect, counter):

@@ -16,6 +16,9 @@ class UnvalidatedSum(RangeSumIndexMixin):
     def max_value(self, box):  # VIOLATION: no validation
         return self.cube[box.slices()].max()
 
+    def range_sum_unchecked(self, box):  # VIOLATION: no suffix exempts
+        return self.cube[box.slices()].sum()
+
     def memory_cells(self):
         return 0
 

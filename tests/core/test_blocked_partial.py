@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 
 from repro._util import Box
 from repro.core.blocked import BlockedPrefixSumCube
-from repro.core.blocked_partial import BlockedPartialPrefixSumCube
+from repro.core.blocked import BlockedPartialPrefixSumCube
 from repro.core.operators import XOR
-from repro.core.partial_prefix import PartialPrefixSumCube
+from repro.core.prefix_sum import PartialPrefixSumCube
 from repro.instrumentation import AccessCounter
 from repro.query.naive import naive_range_sum
 from repro.query.workload import make_cube, random_box

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from repro._util import Box
 from repro.core.operators import XOR
-from repro.core.partial_prefix import PartialPrefixSumCube
+from repro.core.prefix_sum import PartialPrefixSumCube
 from repro.core.prefix_sum import PrefixSumCube
 from repro.instrumentation import AccessCounter
 from repro.query.naive import naive_range_sum
@@ -135,7 +135,7 @@ class TestValidation:
 class TestBatchUpdates:
     def test_updates_keep_queries_exact(self, rng):
         from repro.core.batch_update import PointUpdate
-        from repro.core.partial_prefix import PartialPrefixSumCube
+        from repro.core.prefix_sum import PartialPrefixSumCube
 
         cube = make_cube((8, 9, 5), rng).astype(np.int64)
         structure = PartialPrefixSumCube(cube, [0, 2])
@@ -153,7 +153,7 @@ class TestBatchUpdates:
 
     def test_empty_subset_updates(self, rng):
         from repro.core.batch_update import PointUpdate
-        from repro.core.partial_prefix import PartialPrefixSumCube
+        from repro.core.prefix_sum import PartialPrefixSumCube
 
         cube = make_cube((5, 5), rng).astype(np.int64)
         structure = PartialPrefixSumCube(cube, [])
@@ -162,7 +162,7 @@ class TestBatchUpdates:
 
     def test_wrong_dimensionality_rejected(self, rng):
         from repro.core.batch_update import PointUpdate
-        from repro.core.partial_prefix import PartialPrefixSumCube
+        from repro.core.prefix_sum import PartialPrefixSumCube
 
         structure = PartialPrefixSumCube(make_cube((4, 4), rng), [0])
         with pytest.raises(ValueError, match="dimensionality"):
@@ -173,7 +173,7 @@ class TestBatchUpdates:
             PointUpdate,
             theorem2_region_bound,
         )
-        from repro.core.partial_prefix import PartialPrefixSumCube
+        from repro.core.prefix_sum import PartialPrefixSumCube
 
         cube = make_cube((10, 4), rng).astype(np.int64)
         structure = PartialPrefixSumCube(cube, [0])

@@ -17,7 +17,7 @@ import pytest
 
 from repro._util import Box, full_box
 from repro.core.blocked import VECTORIZED_MIN_ROWS, BlockedPrefixSumCube
-from repro.core.blocked_partial import BlockedPartialPrefixSumCube
+from repro.core.blocked import BlockedPartialPrefixSumCube
 from repro.core.operators import SUM, XOR
 from repro.core.prefix_sum import PrefixSumCube
 from repro.index.registry import IndexSpec
@@ -198,7 +198,7 @@ def test_blocked_batch_equals_scalar_loop_and_naive(dtype, ndim, rows, rng):
 
 def test_partial_prefix_cache_invalidated_on_update(rng):
     from repro.core.batch_update import PointUpdate
-    from repro.core.partial_prefix import PartialPrefixSumCube
+    from repro.core.prefix_sum import PartialPrefixSumCube
 
     cube = make_cube((9, 7), rng)
     structure = PartialPrefixSumCube(cube, [0])

@@ -1,13 +1,15 @@
-"""WorkloadObserver window semantics and the QueryLog shim contract."""
+"""WorkloadObserver window semantics and its offline query-log form."""
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro._util import Box
-from repro.query import QueryLog, WorkloadObserver
+from repro.query import WorkloadObserver
 from repro.query.observer import UPDATE_OP
 from repro.query.ranges import RangeQuery, RangeSpec
+from repro.query.workload import WorkloadProfile, generate_query_log
 
 
 def q(lo: int, hi: int, extra: RangeSpec | None = None) -> RangeQuery:
@@ -167,41 +169,93 @@ class TestSnapshot:
         assert payload["op_weights"][UPDATE_OP] == pytest.approx(1.0)
 
 
-class TestQueryLogShim:
-    """The grow-forever QueryLog rides on the observer unchanged."""
+class TestOfflineLog:
+    """``capacity=None, decay=1.0``: the grow-forever log the §9
+    optimizers re-tune from offline, and its JSON form."""
+
+    PROFILE = WorkloadProfile(
+        range_probability=(0.7, 0.5, 0.2),
+        singleton_probability=0.5,
+        range_lengths=((3, 15), (2, 10), (2, 4)),
+    )
+    CUBE_SHAPE = (30, 20, 8)
+
+    def filled_log(self, count: int, seed: int = 211) -> WorkloadObserver:
+        log = WorkloadObserver(self.CUBE_SHAPE, capacity=None)
+        rng = np.random.default_rng(seed)
+        for query in generate_query_log(
+            self.CUBE_SHAPE, self.PROFILE, count, rng
+        ):
+            log.observe_query(query)
+        return log
 
     def test_truthiness_is_a_type_error(self) -> None:
         # The old footgun: an empty log is falsy, so ``if logbook:``
         # silently skipped save/advise paths.  Presence and traffic are
         # now explicit, and boolean coercion fails loudly.
-        log = QueryLog(SHAPE)
-        with pytest.raises(TypeError, match="has_entries"):
+        log = WorkloadObserver(SHAPE)
+        with pytest.raises(TypeError, match="is not None"):
             bool(log)
         with pytest.raises(TypeError):
             if log:  # pragma: no cover — raises before the branch
                 pass
 
-    def test_has_entries_and_len(self) -> None:
-        log = QueryLog(SHAPE)
-        assert not log.has_entries()
-        assert len(log) == 0
-        log.record(q(0, 3))
-        assert log.has_entries()
-        assert len(log) == 1
+    def test_length_matrix_matches_direct_call(self) -> None:
+        from repro.optimizer.dimension_selection import (
+            active_range_lengths,
+        )
 
-    def test_record_rewrites_error_prefix(self) -> None:
-        log = QueryLog(SHAPE)
-        with pytest.raises(ValueError, match="log expects"):
-            log.record(RangeQuery((RangeSpec.all(),)))
+        log = self.filled_log(50)
+        assert np.array_equal(
+            log.snapshot().length_matrix(),
+            active_range_lengths(log.queries, self.CUBE_SHAPE),
+        )
 
-    def test_never_evicts(self) -> None:
-        log = QueryLog(SHAPE)
-        for i in range(5000):
-            log.record(q(0, i % 8))
-        assert len(log) == 5000
+    def test_end_to_end_retuning_cycle(self) -> None:
+        """serve → log → select → materialize, from the log alone."""
+        from repro.optimizer.cuboid_selection import CuboidSelector
+        from repro.optimizer.materialize import MaterializedCuboidSet
+        from repro.query.workload import make_cube
 
-    def test_observer_property_exposes_the_window(self) -> None:
-        log = QueryLog(SHAPE)
-        log.record(q(0, 3))
-        assert log.observer.queries_seen == 1
-        assert log.observer.capacity is None
+        shape = self.CUBE_SHAPE
+        cube = make_cube(shape, np.random.default_rng(5), high=50)
+        log = self.filled_log(80)
+        plan = CuboidSelector(
+            shape, log.snapshot().workloads(), 2000
+        ).solve()
+        served = MaterializedCuboidSet(cube, plan.chosen)
+        for query in log.queries[:40]:
+            expected = int(cube[query.to_box(shape).slices()].sum())
+            assert served.range_sum(query) == expected
+
+    def test_json_roundtrip(self) -> None:
+        log = self.filled_log(40)
+        restored = WorkloadObserver.from_json(log.to_json())
+        assert restored.shape == log.shape
+        assert restored.queries == log.queries
+        assert restored.capacity is None and restored.decay == 1.0
+
+    def test_file_roundtrip(self, tmp_path) -> None:
+        log = WorkloadObserver(SHAPE, capacity=None)
+        log.observe_query(q(2, 9, RangeSpec.at(1)))
+        path = tmp_path / "log.json"
+        log.save(path)
+        assert WorkloadObserver.load(path).queries == log.queries
+
+    def test_loads_a_file_the_querylog_shim_wrote(self) -> None:
+        text = (
+            '{"shape": [16, 8], "queries": '
+            '[[["between", 2, 9], ["all"]], [["all"], ["at", 3]]]}'
+        )
+        restored = WorkloadObserver.from_json(text)
+        assert restored.queries == (
+            q(2, 9),
+            RangeQuery((RangeSpec.all(), RangeSpec.at(3))),
+        )
+        assert restored.to_json() == text
+
+    def test_bad_spec_kind_rejected(self) -> None:
+        with pytest.raises(ValueError, match="unknown spec kind"):
+            WorkloadObserver.from_json(
+                '{"shape": [4], "queries": [[["median", 1]]]}'
+            )

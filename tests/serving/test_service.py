@@ -7,7 +7,7 @@ import asyncio
 import numpy as np
 import pytest
 
-from repro.query import QueryLog, RangeQueryEngine
+from repro.query import RangeQueryEngine, WorkloadObserver
 from repro.query.ranges import SpecKind
 from repro.serving.errors import (
     BadRequest,
@@ -652,22 +652,23 @@ class TestLogbook:
             await service.close()
 
         run(scenario())
-        log = QueryLog.load(path)
+        log = WorkloadObserver.load(path)
         assert len(log) == 3  # two scalars + one non-empty batch row
         first = log.queries[0]
         assert first.specs[0].kind is SpecKind.RANGE
         assert first.specs[1].kind is SpecKind.ALL
         assert first.specs[2].kind is SpecKind.SINGLETON
         # The §9 selector consumes it directly.
-        assert log.workloads()
-        assert log.length_matrix().shape[1] == 3
+        window = log.snapshot()
+        assert window.workloads()
+        assert window.length_matrix().shape[1] == 3
 
     def test_logbooks_written_per_cube_even_without_traffic(
         self, data, tmp_path
     ) -> None:
         """Every configured logbook writes, suffixed per cube.
 
-        Regression: the filter was ``if cube.logbook``, and ``QueryLog``
+        Regression: the filter was ``if cube.logbook``, and the log
         defines ``__len__`` — so a zero-query logbook was falsy and
         silently skipped, and in a multi-cube service the single cube
         that saw traffic claimed the bare ``logbook_path`` with no cube
@@ -686,8 +687,9 @@ class TestLogbook:
             str(tmp_path / "traffic-cold.json"),
             str(tmp_path / "traffic-hot.json"),
         ]
-        assert len(QueryLog.load(tmp_path / "traffic-hot.json")) == 1
-        assert len(QueryLog.load(tmp_path / "traffic-cold.json")) == 0
+        hot = WorkloadObserver.load(tmp_path / "traffic-hot.json")
+        cold = WorkloadObserver.load(tmp_path / "traffic-cold.json")
+        assert (len(hot), len(cold)) == (1, 0)
 
     def test_single_cube_empty_logbook_still_writes(
         self, data, tmp_path
@@ -698,7 +700,7 @@ class TestLogbook:
         )
         service.register_cube("c", data)
         assert service.save_logbooks() == [str(path)]
-        assert len(QueryLog.load(path)) == 0
+        assert len(WorkloadObserver.load(path)) == 0
 
     def test_no_logbook_by_default(self, service) -> None:
         run(

@@ -15,7 +15,7 @@ from repro._util import Box
 from repro.core.batch_update import PointUpdate
 from repro.core.blocked import BlockedPrefixSumCube
 from repro.core.max_update import MaxAssignment, apply_max_updates
-from repro.core.partial_prefix import PartialPrefixSumCube
+from repro.core.prefix_sum import PartialPrefixSumCube
 from repro.core.prefix_sum import PrefixSumCube
 from repro.core.range_max import RangeMaxTree
 from repro.query.naive import naive_max_value, naive_range_sum
