@@ -2,11 +2,10 @@
 
 Benchmark numbers are only comparable across runs when the implicit
 parallelism knobs are pinned: BLAS libraries read ``OMP_NUM_THREADS`` /
-``OPENBLAS_NUM_THREADS`` / ``MKL_NUM_THREADS`` *at import*, and the
-``threaded`` execution kernel sizes its pool from
-``REPRO_KERNEL_WORKERS``.  Importing this module pins all four before
-numpy is first loaded — benchmark scripts import it ahead of ``numpy``,
-and ``benchmarks/conftest.py`` imports it for pytest-driven runs.
+``OPENBLAS_NUM_THREADS`` / ``MKL_NUM_THREADS`` *at import*.  Importing
+this module pins all three before numpy is first loaded — benchmark
+scripts import it ahead of ``numpy``, and ``benchmarks/conftest.py``
+imports it for pytest-driven runs.
 
 Every BENCH json records :func:`thread_config` so a stored result is
 attributable to the thread configuration that produced it.
@@ -16,27 +15,18 @@ from __future__ import annotations
 
 import os
 
-#: BLAS/OpenMP pools are pinned to one thread: the structures under test
-#: do their own sharding, and a library-level pool would both add noise
-#: and hide single-thread regressions.
+#: BLAS/OpenMP pools are pinned to one thread: a library-level pool
+#: would both add noise and hide single-thread regressions.
 PINNED_BLAS_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
-
-#: Fixed worker-pool size for the ``threaded`` kernel, so shard counts
-#: (and therefore timings) do not vary with the host's core count.
-DEFAULT_POOL_SIZE = 4
 
 
 def pin_thread_env() -> dict[str, object]:
     """Pin the thread knobs; returns the effective configuration.
 
-    The BLAS variables are forced to ``1``; the kernel pool size is
-    defaulted to :data:`DEFAULT_POOL_SIZE` but an explicit
-    ``REPRO_KERNEL_WORKERS`` in the environment wins (benchmarking other
-    pool sizes is a deliberate act, not noise).
+    The BLAS variables are forced to ``1``.
     """
     for name in PINNED_BLAS_VARS:
         os.environ[name] = "1"
-    os.environ.setdefault("REPRO_KERNEL_WORKERS", str(DEFAULT_POOL_SIZE))
     return thread_config()
 
 
@@ -45,7 +35,6 @@ def thread_config() -> dict[str, object]:
     config: dict[str, object] = {
         name.lower(): os.environ.get(name) for name in PINNED_BLAS_VARS
     }
-    config["repro_kernel_workers"] = os.environ.get("REPRO_KERNEL_WORKERS")
     config["cpu_count"] = os.cpu_count()
     return config
 

@@ -5,9 +5,9 @@ A blocked structure answers a batch either by looping its scalar
 :mod:`repro.kernels.boundary`; ``blocked_sum_dispatch`` picks by row
 count.  This script times both paths directly — not through the
 dispatcher — on the end-to-end benchmark's cube (``(128, 128, 64)``,
-``blocked_prefix_sum``, ``block_size=8``, default kernel) for
+``blocked_prefix_sum``, ``block_size=8``) for
 ``K ∈ {1, 2, 4, 8, 16, 32, 64}`` × three box sizes, checks that values
-and §8 counters agree, and prints the table ``docs/KERNELS.md`` quotes::
+and §8 counters agree, and prints the table ``docs/ARCHITECTURE.md`` quotes::
 
     PYTHONPATH=src python benchmarks/bench_blocked_dispatch.py
     PYTHONPATH=src python benchmarks/bench_blocked_dispatch.py --smoke
@@ -33,11 +33,7 @@ from repro.core.blocked import VECTORIZED_MIN_ROWS  # noqa: E402
 from repro.index.protocol import RangeSumIndexMixin  # noqa: E402
 from repro.index.registry import create_index  # noqa: E402
 from repro.instrumentation import AccessCounter  # noqa: E402
-from repro.kernels import (  # noqa: E402
-    blocked_sum_many_vectorized,
-    resolve_kernel,
-)
-
+from repro.kernels import blocked_sum_many_vectorized  # noqa: E402
 from repro.query.workload import random_query_arrays  # noqa: E402
 
 from benchmarks._tables import format_table  # noqa: E402
@@ -66,7 +62,6 @@ def main() -> int:
     rng = np.random.default_rng(1997)
     cube = rng.integers(0, 100, size=shape, dtype=np.int64)
     structure = create_index("blocked_prefix_sum", cube, block_size=8)
-    kernel = resolve_kernel()
     table = []
     for width in WIDTHS:
         for rows in ROWS:
@@ -78,7 +73,7 @@ def main() -> int:
                 structure, lows, highs, loop_counter
             )
             passed = blocked_sum_many_vectorized(
-                structure, lows, highs, kernel, pass_counter
+                structure, lows, highs, pass_counter
             )
             if not np.array_equal(looped, passed):
                 raise SystemExit(f"values differ at K={rows} width={width}")
@@ -89,9 +84,7 @@ def main() -> int:
                 repeats,
             )
             pass_ms = best_ms(
-                lambda: blocked_sum_many_vectorized(
-                    structure, lows, highs, kernel
-                ),
+                lambda: blocked_sum_many_vectorized(structure, lows, highs),
                 repeats,
             )
             table.append(

@@ -4,7 +4,7 @@
 ``blocked_partial_prefix_sum`` are one class per family; the second name
 of each pair is a constructor preset.  This script times all four with
 every dimension chosen on the end-to-end benchmark's cube
-(``(128, 128, 64)``, ``block_size=8``, default kernel) — scalar
+(``(128, 128, 64)``, ``block_size=8``) — scalar
 ``range_sum`` over 200 boxes at three box sizes, one 256-box
 ``sum_many``, the build and a 4-update batch — so the presets can be
 compared with their base class, and one commit with another (it uses

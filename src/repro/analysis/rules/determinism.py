@@ -29,12 +29,12 @@ and ``benchmarks/``:
   ``random.Random()`` with no seed),
 * worker pools sized implicitly: a ``ThreadPoolExecutor`` /
   ``ProcessPoolExecutor`` constructed without an explicit worker count
-  scales with the host's core count, so kernel benchmark numbers (shard
-  counts, speedups) silently change between runners.
+  scales with the host's core count, so benchmark numbers silently
+  change between runners.
 
 The repo convention is a locally constructed, explicitly seeded
-``np.random.Generator`` passed down as ``rng``, and pool sizes pinned
-through ``REPRO_KERNEL_WORKERS`` (see ``benchmarks/_env.py``).
+``np.random.Generator`` passed down as ``rng``, and an explicit
+``max_workers`` on every pool.
 """
 
 from __future__ import annotations
@@ -141,8 +141,8 @@ class DeterminismRule(Rule):
             context,
             call,
             f"'{name}()' without max_workers sizes the pool from the "
-            "host's core count; pin it explicitly (e.g. via "
-            "REPRO_KERNEL_WORKERS) so shard counts replay across runners",
+            "host's core count; pass an explicit max_workers so runs "
+            "replay across runners",
         )
 
     def _check_stdlib(

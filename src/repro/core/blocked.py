@@ -61,6 +61,8 @@ from repro.index.backend import ArrayBackend, resolve_backend
 from repro.index.protocol import RangeSumIndexMixin
 from repro.index.registry import FuzzProfile, register_index
 from repro.instrumentation import NULL_COUNTER, AccessCounter
+from repro.kernels import blocked_sum_many_vectorized, resolve_kernel
+from repro.kernels.segments import flatten_updates
 
 
 def block_contract(
@@ -95,8 +97,9 @@ def block_contract(
 
 #: Batches with fewer rows than this loop the scalar ``range_sum``;
 #: larger ones take the vectorized pass.  Pinned from the K x box-size
-#: sweep tabulated in docs/KERNELS.md: the pass has a fixed cost over
-#: the ``3^d`` slots that the loop's per-row cost overtakes from here up.
+#: sweep tabulated in docs/ARCHITECTURE.md: the pass has a fixed cost
+#: over the ``3^d`` slots that the loop's per-row cost overtakes from
+#: here up.
 VECTORIZED_MIN_ROWS = 16
 
 
@@ -120,7 +123,8 @@ def blocked_sum_dispatch(
             ``normalize_query_arrays(..., allow_empty=True)``.
         counter: Standard access counter.
     """
-    from repro.kernels import blocked_sum_many_vectorized, resolve_kernel
+    # Local: repro.query's package import pulls in the engine, which
+    # imports repro.core.
     from repro.query.batch import solve_with_identity
 
     operator = structure.operator
@@ -133,12 +137,8 @@ def blocked_sum_dispatch(
             return values.astype(target, copy=False)
 
     else:
-        kern = resolve_kernel(override=structure.kernel)
-
         def solve(l: np.ndarray, h: np.ndarray) -> np.ndarray:
-            return blocked_sum_many_vectorized(
-                structure, l, h, kern, counter
-            )
+            return blocked_sum_many_vectorized(structure, l, h, counter)
 
     return solve_with_identity(lo, hi, operator.identity, solve)
 
@@ -509,12 +509,10 @@ class BlockedPrefixSumCube(RangeSumIndexMixin):
             apply_batch_to_prefix,
             contract_updates_to_blocks,
         )
-        from repro.kernels import resolve_kernel
-        from repro.kernels.segments import flatten_updates
 
         flat, deltas = flatten_updates(updates, self.shape)
         if len(flat):
-            resolve_kernel(self.kernel).scatter(
+            resolve_kernel().scatter(
                 self.source.reshape(-1), flat, deltas, self.operator
             )
         contracted = contract_updates_to_blocks(

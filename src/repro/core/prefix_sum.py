@@ -45,6 +45,8 @@ from repro.index.backend import ArrayBackend, resolve_backend
 from repro.index.protocol import RangeSumIndexMixin
 from repro.index.registry import FuzzProfile, register_index
 from repro.instrumentation import NULL_COUNTER, AccessCounter
+from repro.kernels import resolve_kernel
+from repro.kernels.segments import flatten_updates
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.batch_update import PointUpdate
@@ -448,8 +450,7 @@ class PrefixSumCube(RangeSumIndexMixin):
             hi,
             self.operator.identity,
             lambda l, h: prefix_sum_many(
-                self._batch_prefix_array(), l, h, self.operator, counter,
-                kernel=self.kernel,
+                self._batch_prefix_array(), l, h, self.operator, counter
             ),
         )
 
@@ -499,13 +500,11 @@ class PrefixSumCube(RangeSumIndexMixin):
             (bounded by Theorem 2 per distinct passive coordinate).
         """
         from repro.core.batch_update import apply_batch_to_prefix
-        from repro.kernels import resolve_kernel
-        from repro.kernels.segments import flatten_updates
 
         flat, deltas = flatten_updates(updates, self.shape)
         self._batch_prefix = None  # the batch-path cache is now stale
         if self.source is not None and len(flat):
-            resolve_kernel(self.kernel).scatter(
+            resolve_kernel().scatter(
                 self.source.reshape(-1), flat, deltas, self.operator
             )
         regions = apply_batch_to_prefix(

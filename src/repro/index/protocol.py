@@ -104,11 +104,6 @@ class _IndexBase:
     index_name: str | None = None
     #: "sum" or "max" — set by the concrete mixin below.
     index_kind: str = "index"
-    #: Per-index execution-backend override (a registry name or a live
-    #: :class:`~repro.kernels.ExecutionKernel`).  ``None`` defers to
-    #: ``$REPRO_KERNEL`` and then the ``"numpy"`` default — see
-    #: :func:`repro.kernels.resolve_kernel` for the full precedence.
-    kernel: object | None = None
 
     @classmethod
     def build(cls, cube: object, **params: object) -> _IndexBase:

@@ -11,10 +11,10 @@ Sources:
 * :func:`iter_csv_batches` — always available (stdlib ``csv``), streams
   a headered CSV in bounded-size batches;
 * :func:`iter_arrow_batches` / :func:`iter_parquet_batches` — available
-  when ``pyarrow`` is importable (a *soft* dependency mirroring the
-  numba kernel: absence degrades silently to "format unsupported", no
-  import-time failure, ``REPRO_PYARROW_DISABLE`` forces the degraded
-  path for CI parity legs);
+  when ``pyarrow`` is importable (a *soft* dependency: absence
+  degrades silently to "format unsupported", no import-time failure,
+  ``REPRO_PYARROW_DISABLE`` forces the degraded path for CI parity
+  legs);
 * :func:`batches_from_records` / :func:`batches_from_cube` — in-memory
   sources for tests and benchmarks.
 

@@ -24,11 +24,11 @@ from dataclasses import dataclass, field
 class AccessCounter:
     """Mutable tally of element accesses, grouped by storage structure.
 
-    Increments are serialized through an internal lock: the ``threaded``
-    execution kernel charges one shared counter from several worker
-    threads at once, and the plain ``int`` read-modify-write of ``+=``
-    would drop charges under that interleaving.  The lock is per-counter
-    and uncontended on the serial paths.
+    Increments are serialized through an internal lock: the serving
+    layer offloads heavy computations to its worker pool, so one cube's
+    counter is charged from several threads at once, and the plain
+    ``int`` read-modify-write of ``+=`` would drop charges under that
+    interleaving.  The lock is per-counter and uncontended elsewhere.
     """
 
     cube_cells: int = 0

@@ -43,7 +43,7 @@ import numpy as np
 
 from repro.core.operators import InvertibleOperator
 from repro.instrumentation import NULL_COUNTER, AccessCounter
-from repro.kernels.protocol import ExecutionKernel
+from repro.kernels.numpy_kernel import resolve_kernel
 from repro.kernels.segments import exclusive_offsets
 
 
@@ -70,7 +70,6 @@ def box_reduce_many(
     box_lo: np.ndarray,
     box_hi: np.ndarray,
     operator: InvertibleOperator,
-    kernel: ExecutionKernel,
 ) -> np.ndarray:
     """Reduce ``n`` axis-aligned boxes of one array in a single pass.
 
@@ -82,12 +81,11 @@ def box_reduce_many(
     any order and overlap freely.  The caller owns counter accounting.
 
     Args:
-        array: The source array (C-ordered; backends materialize C
-            layouts).
+        array: The source array (C-ordered; array backends materialize
+            C layouts).
         box_lo: ``(n, d)`` inclusive lower corners, all inside ``array``.
         box_hi: ``(n, d)`` inclusive upper corners, ``>= box_lo``.
         operator: The invertible operator (must expose a ufunc).
-        kernel: Backend whose ``segment_reduce`` does the heavy pass.
 
     Returns:
         An ``(n,)`` array of box aggregates in the accumulation dtype.
@@ -116,6 +114,7 @@ def box_reduce_many(
     cell_offsets = exclusive_offsets(runs_per_box * run_length)
     total_runs = int(runs_per_box.sum())
     out = np.full(n, operator.identity, dtype=target)
+    segment_reduce = resolve_kernel().segment_reduce
     # The run list is generated and reduced one slice of the global run
     # sequence at a time (see MAX_SCAN_CELLS): a slice ends at the last
     # run that keeps it within the cap, and always holds at least one.
@@ -140,7 +139,7 @@ def box_reduce_many(
             starts += (remainder % axis_extent) * strides[j]
             remainder //= axis_extent
         lengths = run_length[box_of_run]
-        run_values = kernel.segment_reduce(flat, starts, lengths, operator)
+        run_values = segment_reduce(flat, starts, lengths, operator)
         # A slice covers a contiguous range of boxes; the first and last
         # may continue in a neighbouring slice, so fold, don't assign.
         lo_box, hi_box = int(box_of_run[0]), int(box_of_run[-1]) + 1
@@ -162,7 +161,6 @@ def _aligned_many(
     owners: np.ndarray,
     lows: np.ndarray,
     highs: np.ndarray,
-    kernel: ExecutionKernel,
     counter: AccessCounter,
 ) -> np.ndarray:
     """Block-aligned sums from ``P`` for ``n`` chosen-dim regions.
@@ -173,7 +171,6 @@ def _aligned_many(
             block-aligned regions over the chosen dimensions.
         owners: ``(n,)`` query rows (supplying the passive extents).
         lows, highs: The full ``(K, d)`` query bounds.
-        kernel: Backend for gathers/reduces.
         counter: Charged exactly as the scalar ``_aligned_*`` would.
 
     Returns:
@@ -189,7 +186,7 @@ def _aligned_many(
     if not passive_dims:
         # Every dimension is chosen: the slabs are single prefix cells
         # and Theorem 1 applies directly — one corner gather.
-        return kernel.corner_gather(
+        return resolve_kernel().corner_gather(
             prefix, block_lo, block_hi, op, counter
         )
     n = len(block_lo)
@@ -214,7 +211,7 @@ def _aligned_many(
         slab_hi[:, chosen_dims] = coords[valid]
         slab_lo[:, passive_dims] = passive_lo[valid]
         slab_hi[:, passive_dims] = passive_hi[valid]
-        values = box_reduce_many(prefix, slab_lo, slab_hi, op, kernel)
+        values = box_reduce_many(prefix, slab_lo, slab_hi, op)
         if corner_choice.count(False) % 2 == 0:
             positive[valid] = op.apply(
                 positive[valid], values.astype(target, copy=False)
@@ -230,7 +227,6 @@ def blocked_sum_many_vectorized(
     structure: object,
     lows: np.ndarray,
     highs: np.ndarray,
-    kernel: ExecutionKernel,
     counter: AccessCounter = NULL_COUNTER,
 ) -> np.ndarray:
     """Batch §4 range-sums with the boundary regions fully vectorized.
@@ -238,13 +234,12 @@ def blocked_sum_many_vectorized(
     Serves :class:`~repro.core.blocked.BlockedPrefixSumCube` for any
     ``prefix_dims`` (all dimensions chosen, or a chosen subset plus
     passive slabs).  Results and access-counter totals match the scalar
-    decomposition exactly, under every backend.
+    decomposition exactly.
 
     Args:
         structure: A blocked prefix-sum cube.
         lows: Validated non-empty ``(K, d)`` inclusive lower bounds.
         highs: Validated ``(K, d)`` inclusive upper bounds.
-        kernel: The resolved execution backend.
         counter: Standard access counter.
 
     Returns:
@@ -265,7 +260,7 @@ def blocked_sum_many_vectorized(
         # No accumulated dimensions: every query is one raw slab scan.
         volumes = np.prod(highs - lows + 1, axis=1)
         counter.count_cube(int(volumes.sum()))
-        return box_reduce_many(source, lows, highs, op, kernel).astype(
+        return box_reduce_many(source, lows, highs, op).astype(
             target, copy=False
         )
     sizes = np.asarray(structure.shape, dtype=np.int64)[chosen_dims]
@@ -316,7 +311,6 @@ def blocked_sum_many_vectorized(
             rows,
             lows,
             highs,
-            kernel,
             counter,
         )
         positive[rows] = op.apply(
@@ -405,7 +399,6 @@ def blocked_sum_many_vectorized(
             owners,
             lows,
             highs,
-            kernel,
             counter,
         )
         op.apply.at(positive, owners, values.astype(target, copy=False))
@@ -425,9 +418,9 @@ def blocked_sum_many_vectorized(
             full_hi[:, passive_dims] = highs[owners][:, passive_dims]
         volumes = np.prod(full_hi - full_lo + 1, axis=1)
         counter.count_cube(int(volumes.sum()))
-        values = box_reduce_many(
-            source, full_lo, full_hi, op, kernel
-        ).astype(target, copy=False)
+        values = box_reduce_many(source, full_lo, full_hi, op).astype(
+            target, copy=False
+        )
         if np.any(signs):
             op.apply.at(positive, owners[signs], values[signs])
         if not np.all(signs):

@@ -1,10 +1,6 @@
 """The batched Theorem-1 corner primitives (gather, mask, combine).
 
-These used to live in :mod:`repro.query.batch`; they moved here when the
-kernel layer was introduced because every backend builds on them — the
-``numpy`` kernel calls them directly, the ``threaded`` kernel calls them
-per query shard.  :mod:`repro.query.batch` re-exports them, so existing
-imports keep working.
+:mod:`repro.query.batch` re-exports them.
 """
 
 from __future__ import annotations

@@ -1,12 +1,11 @@
-"""Serial segment-reduce / scatter machinery shared by the backends.
+"""Segment-reduce / scatter machinery.
 
 ``segment_reduce_serial`` is the gather-into-buffer + ``ufunc.reduceat``
 pattern: rather than interleaving (start, end) offsets — which makes
 ``reduceat`` also reduce the junk *between* runs, costing O(span) — we
 gather exactly the cells the runs cover into one contiguous buffer and
 reduce at monotone offsets, so the work is bounded by the cells actually
-scanned.  The threaded backend reuses it per shard; the numba backend
-replaces only the innermost loop.
+scanned.
 """
 
 from __future__ import annotations

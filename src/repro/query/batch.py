@@ -43,10 +43,9 @@ import numpy as np
 from repro._util import Box
 from repro.core.operators import InvertibleOperator
 from repro.instrumentation import NULL_COUNTER, AccessCounter
+from repro.kernels import resolve_kernel
 
-# The corner primitives moved to repro.kernels.corner when the pluggable
-# backend layer was introduced (every backend builds on them); they are
-# re-exported here because this module is their historical home.
+# Re-exported: this module is the corner primitives' historical home.
 from repro.kernels.corner import (
     combine_corner_values as combine_corner_values,
     corner_table as corner_table,
@@ -194,7 +193,6 @@ def prefix_sum_many(
     highs: np.ndarray,
     operator: InvertibleOperator,
     counter: AccessCounter = NULL_COUNTER,
-    kernel: object | None = None,
 ) -> np.ndarray:
     """Answer ``K`` range-sums against a full prefix array in O(1) ops.
 
@@ -207,18 +205,13 @@ def prefix_sum_many(
         highs: Validated ``(K, d)`` inclusive upper bounds.
         operator: The structure's invertible operator.
         counter: Charged per valid corner read, as in the scalar path.
-        kernel: Execution backend (name or instance); ``None`` resolves
-            via :func:`repro.kernels.resolve_kernel` (env var, then the
-            ``numpy`` default).
 
     Returns:
         A ``(K,)`` array of aggregates.
     """
-    from repro.kernels import resolve_kernel
-
     if lows.shape[0] == 0:
         return np.empty(0, dtype=prefix.dtype)
-    return resolve_kernel(kernel).corner_gather(
+    return resolve_kernel().corner_gather(
         prefix, lows, highs, operator, counter
     )
 

@@ -119,13 +119,6 @@ class RangeQueryEngine:
             structure that supports out-of-core allocation.
         counter: Engine-level :class:`AccessCounter` observing every
             query; a counter passed to an individual call still wins.
-        kernel: Execution-kernel selection for the batch query path — a
-            registry name (``"numpy"``, ``"threaded"``, ``"numba"``,
-            ``"auto"``) or a live
-            :class:`~repro.kernels.ExecutionKernel`.  Installed as the
-            per-index override on every sum-family structure the engine
-            builds; ``None`` defers to ``$REPRO_KERNEL`` and the
-            registry default.
     """
 
     def __init__(
@@ -138,13 +131,11 @@ class RangeQueryEngine:
         counts: np.ndarray | None = None,
         backend: ArrayBackend | None = None,
         counter: AccessCounter | None = None,
-        kernel: object | None = None,
     ) -> None:
         cube = np.asarray(cube)
         self.shape = tuple(int(n) for n in cube.shape)
         self.backend = backend
         self.counter = NULL_COUNTER if counter is None else counter
-        self.kernel = kernel
 
         sum_spec = _as_spec(sum_index, sum_params)
         if sum_spec.kind != "sum":
@@ -189,8 +180,6 @@ class RangeQueryEngine:
             )
 
     def _instrument(self, index: object) -> InstrumentedIndex:
-        if self.kernel is not None and hasattr(index, "kernel"):
-            index.kernel = self.kernel
         return InstrumentedIndex(index, self.counter)
 
     def route(self, aggregate: str) -> InstrumentedIndex | None:

@@ -22,9 +22,8 @@ than aspirational):
   are atomic with respect to ``/update`` — no delta can land between
   them and be lost;
 * **off-loop build**: the candidate set is built from the copy on the
-  service's worker pool (the threaded kernel's pinned pool when one is
-  registered), so queries and updates keep flowing during the seconds a
-  large build can take.  Any ``/update`` accepted meanwhile mutates the
+  service's worker pool, so queries and updates keep flowing during
+  the seconds a large build can take.  Any ``/update`` accepted meanwhile mutates the
   *live* tiers normally and is also appended to the recording list
   (under the write lock, inside :meth:`QueryService._apply_update`);
 * under the **write lock**: replay the recorded updates into the new

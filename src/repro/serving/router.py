@@ -160,7 +160,7 @@ class TieredRouter:
         """
         if tier == "materialized":
             assert query is not None and cube.cuboids is not None
-            return _scalar(cube.cuboids.range_sum(query))
+            return _scalar(cube.cuboids.range_sum(query, cube.counter))
         if tier == "indexed":
             engine = cube.engine
             assert engine is not None
@@ -176,26 +176,30 @@ class TieredRouter:
         self, cube: ServedCube, op: str, box: Box
     ) -> object:
         base = cube.base
+        counter = cube.counter
         if op == "sum":
-            return _scalar(naive_range_sum(base, box))
+            return _scalar(naive_range_sum(base, box, counter))
         if op == "count":
             if cube.counts is not None:
-                return _scalar(naive_range_sum(cube.counts, box))
+                return _scalar(naive_range_sum(cube.counts, box, counter))
             return box.volume
         if op == "average":
-            total = _scalar(naive_range_sum(base, box))
+            total = _scalar(naive_range_sum(base, box, counter))
             if cube.counts is not None:
-                denominator = _scalar(naive_range_sum(cube.counts, box))
+                denominator = _scalar(
+                    naive_range_sum(cube.counts, box, counter)
+                )
             else:
                 denominator = box.volume
             if denominator == 0:
                 return None
             return float(total) / float(denominator)
         if op == "max":
-            index = naive_max_index(base, box)
+            index = naive_max_index(base, box, counter)
             return index, _scalar(base[index])
         if op == "min":
             check_query_box(box, base.shape, allow_empty=False)
+            counter.count_cube(box.volume)
             window = base[box.slices()]
             local = np.unravel_index(
                 int(np.argmin(window)), window.shape

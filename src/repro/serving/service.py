@@ -17,16 +17,14 @@ bodies) and leave as plain dicts.  Between the two sit, in order:
 4. the **tiered router** — materialized → indexed → fallback, with
    per-``(cube, tier)`` latency accounting.
 
-Heavy computations (naive scans, large batches) are offloaded to a
-worker pool so the event loop keeps accepting requests; when a cube's
-engine resolves to the ``threaded`` execution kernel the service reuses
-*that* pool (:meth:`~repro.kernels.threaded.ThreadedKernel.executor`)
-instead of stacking a second one on top.  Every tier computation runs
-under its cube's :class:`~repro.serving.rwlock.ReadWriteLock` read lock
-and ``/update`` takes the write lock, so an offloaded read never
-observes an update torn mid-batch; cache entries are stamped with the
-generation snapshotted *before* the computation, so a raced entry is at
-worst conservatively stale, never stale-served.
+Heavy computations (naive scans, large batches) are offloaded to the
+service's worker pool so the event loop keeps accepting requests.
+Every tier computation runs under its cube's
+:class:`~repro.serving.rwlock.ReadWriteLock` read lock and ``/update``
+takes the write lock, so an offloaded read never observes an update
+torn mid-batch; cache entries are stamped with the generation
+snapshotted *before* the computation, so a raced entry is at worst
+conservatively stale, never stale-served.
 
 Everything answers are computed from the same code paths library users
 call directly, so served results are bit-identical to
@@ -50,8 +48,6 @@ from repro._util import Box
 from repro.core.batch_update import PointUpdate
 from repro.index.backend import ArrayBackend
 from repro.instrumentation import AccessCounter
-from repro.kernels.registry import resolve_kernel
-from repro.kernels.threaded import ThreadedKernel
 from repro.optimizer.advisor import DesignDelta, re_advise
 from repro.optimizer.cost_model import boundary_cells_per_surface
 from repro.optimizer.cuboid_selection import Materialization
@@ -92,12 +88,11 @@ class ServeConfig:
             ``0`` disables deadlines.
         offload_cells: Estimated touched-cell count at or above which a
             computation runs on the worker pool instead of the event
-            loop (matches the threaded kernel's parallel cutoff).
+            loop.
         max_batch_rows: Largest accepted ``/query_batch`` request.
         max_rollup_cells: Largest accepted roll-up result grid.
-        executor_workers: Worker threads for the service-owned pool
-            (only created when no registered engine provides a shareable
-            threaded-kernel pool); ``None`` means ``os.cpu_count()``.
+        executor_workers: Worker threads for the offload pool;
+            ``None`` means ``os.cpu_count()``.
         logbook_path: When set, every registered cube records served
             traffic to an unbounded, uniform-weight
             :class:`~repro.query.observer.WorkloadObserver` and
@@ -215,7 +210,6 @@ class QueryService:
         )
         self.started_at = time.time()
         self._executor: ThreadPoolExecutor | None = None
-        self._owns_executor = False
 
     # ------------------------------------------------------------------
     # Registration
@@ -236,7 +230,6 @@ class QueryService:
         plan: Sequence[object] | None = None,
         cuboid_set: MaterializedCuboidSet | None = None,
         fallback: bool = True,
-        kernel: object | None = None,
     ) -> ServedCube:
         """Register ``cube`` under ``name`` and build its tiers.
 
@@ -253,7 +246,7 @@ class QueryService:
                 match what it was built with), or ``None`` for no
                 indexed tier.  Default: build one from ``sum_index`` /
                 ``max_index`` with a fresh per-cube access counter.
-            sum_index / sum_params / max_index / max_params / kernel:
+            sum_index / sum_params / max_index / max_params:
                 Forwarded to the default-built engine.
             counts: Optional record-count cube (AVERAGE denominators).
             backend: Array backend for built structures.  Also retained
@@ -319,7 +312,6 @@ class QueryService:
                 "counts": held_counts,
                 "backend": backend,
                 "counter": counter,
-                "kernel": kernel,
             }
             if sum_index is not None:
                 kwargs["sum_index"] = sum_index
@@ -1012,26 +1004,15 @@ class QueryService:
         return fn()
 
     def _ensure_executor(self) -> ThreadPoolExecutor:
-        """The offload pool — shared with the threaded kernel if one is
-        in play, otherwise a service-owned pool of explicit size."""
+        """The service-owned offload pool, created on first use."""
         if self._executor is None:
-            for cube in self.cubes.values():
-                if cube.engine is None:
-                    continue
-                kernel = resolve_kernel(None, cube.engine.kernel)
-                if isinstance(kernel, ThreadedKernel):
-                    self._executor = kernel.executor()
-                    self._owns_executor = False
-                    break
-            if self._executor is None:
-                workers = self.config.executor_workers
-                if workers is None:
-                    workers = os.cpu_count() or 1
-                self._executor = ThreadPoolExecutor(
-                    max_workers=max(1, int(workers)),
-                    thread_name_prefix="repro-serving",
-                )
-                self._owns_executor = True
+            workers = self.config.executor_workers
+            if workers is None:
+                workers = os.cpu_count() or 1
+            self._executor = ThreadPoolExecutor(
+                max_workers=max(1, int(workers)),
+                thread_name_prefix="repro-serving",
+            )
         return self._executor
 
     def _op(self, payload: dict, allowed: Sequence[str]) -> str:
@@ -1082,7 +1063,7 @@ class QueryService:
         """Flush pending coalesced work and release owned resources."""
         await self.coalescer.flush_all()
         self.save_logbooks()
-        if self._executor is not None and self._owns_executor:
+        if self._executor is not None:
             self._executor.shutdown(wait=False, cancel_futures=True)
         self._executor = None
 

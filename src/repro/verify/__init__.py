@@ -21,7 +21,6 @@ from repro.verify.driver import Divergence, run_scenario
 from repro.verify.scenarios import (
     Scenario,
     fuzzable_indexes,
-    fuzzable_kernels,
     scenario_for,
 )
 from repro.verify.shrink import shrink_scenario
@@ -30,7 +29,6 @@ __all__ = [
     "Divergence",
     "Scenario",
     "fuzzable_indexes",
-    "fuzzable_kernels",
     "run_scenario",
     "scenario_for",
     "shrink_scenario",

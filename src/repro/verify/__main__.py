@@ -58,12 +58,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="pin the array backend (default: generator's choice)",
     )
     parser.add_argument(
-        "--kernel",
-        metavar="NAME",
-        help="pin the execution kernel (default: cycle through "
-        "numpy/threaded, plus numba when importable)",
-    )
-    parser.add_argument(
         "--time-budget",
         type=float,
         default=None,
@@ -118,7 +112,6 @@ def _scenario_json(failure: Divergence) -> str:
             "backend": scenario.backend,
             "steps": [list(step) for step in scenario.steps],
             "engine": scenario.engine,
-            "kernel": scenario.kernel,
         }
     )
 
@@ -156,7 +149,6 @@ def main(argv: list[str] | None = None) -> int:
             name,
             args.seed * SEED_STRIDE + trial,
             force_backend=force,
-            force_kernel=args.kernel,
         )
         completed += 1
         per_index[name] += 1

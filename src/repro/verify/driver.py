@@ -144,8 +144,6 @@ def _run(scenario: Scenario, tmpdir: str) -> Divergence | None:
     else:
         cube = source
     inner = create_index(scenario.index, cube, backend=backend, **params)
-    if scenario.kernel != "numpy" and hasattr(inner, "kernel"):
-        inner.kernel = scenario.kernel
     index = InstrumentedIndex(inner)
     for position, (kind, step_seed) in enumerate(scenario.steps):
         rng = np.random.default_rng(
@@ -424,7 +422,6 @@ def _run_engine_phase(scenario: Scenario) -> dict | None:
         sum_index=IndexSpec.of(scenario.index, **scenario.param_dict()),
         counts=counts,
         max_index=IndexSpec.of("range_max_tree", fanout=4),
-        kernel=None if scenario.kernel == "numpy" else scenario.kernel,
     )
 
     def diff(kind, box, expected, actual):

@@ -60,9 +60,6 @@ class Scenario:
             shifts the randomness of the steps that remain.
         engine: Whether to also drive a :class:`RangeQueryEngine` built
             on this index through the derived-aggregate surface.
-        kernel: Execution-kernel registry name the batch path runs
-            under (``"numpy"`` is the oracle default; tokens minted
-            before the kernel layer replay as ``"numpy"``).
     """
 
     index: str
@@ -74,7 +71,6 @@ class Scenario:
     backend: str
     steps: tuple[tuple[str, int], ...]
     engine: bool = False
-    kernel: str = "numpy"
 
     def param_dict(self) -> dict:
         """Construction parameters as a plain keyword dict."""
@@ -92,7 +88,6 @@ class Scenario:
             "backend": self.backend,
             "steps": [[kind, seed] for kind, seed in self.steps],
             "engine": self.engine,
-            "kernel": self.kernel,
         }
         raw = json.dumps(payload, separators=(",", ":")).encode()
         body = base64.urlsafe_b64encode(zlib.compress(raw, 9)).decode()
@@ -100,7 +95,11 @@ class Scenario:
 
     @classmethod
     def from_token(cls, token: str) -> Scenario:
-        """Rebuild a scenario from :meth:`to_token` output (or raw JSON)."""
+        """Rebuild a scenario from :meth:`to_token` output (or raw JSON).
+
+        Tokens minted while scenarios carried a ``"kernel"`` field still
+        replay: the field is ignored.
+        """
         token = token.strip()
         if token.startswith("{"):
             payload = json.loads(token)
@@ -123,7 +122,6 @@ class Scenario:
                 (str(kind), int(seed)) for kind, seed in payload["steps"]
             ),
             engine=bool(payload.get("engine", False)),
-            kernel=str(payload.get("kernel", "numpy")),
         )
 
 
@@ -151,21 +149,6 @@ def fuzzable_indexes(
     )
 
 
-def fuzzable_kernels() -> tuple[str, ...]:
-    """Execution-kernel names the harness cycles scenarios through.
-
-    Always the ``numpy`` oracle and the vectorizing ``threaded``
-    backend; ``numba`` joins when the optional dependency is importable
-    (its silent-degradation path is then fuzzed too).
-    """
-    from repro.kernels.numba_kernel import numba_available
-
-    kernels = ["numpy", "threaded"]
-    if numba_available():
-        kernels.append("numba")
-    return tuple(kernels)
-
-
 def updates_allowed(
     supports_updates: bool, dtype: str, operator: str
 ) -> bool:
@@ -189,7 +172,6 @@ def scenario_for(
     seed: int,
     *,
     force_backend: str | None = None,
-    force_kernel: str | None = None,
 ) -> Scenario | None:
     """Draw the scenario for ``(name, seed)`` from the index's profile.
 
@@ -199,8 +181,6 @@ def scenario_for(
         force_backend: Pin ``"memory"`` / ``"memmap"`` instead of letting
             the generator choose (ignored when the structure does not
             accept a backend).
-        force_kernel: Pin an execution-kernel name instead of cycling
-            through :func:`fuzzable_kernels`.
 
     Returns:
         The scenario, or ``None`` when the index has no fuzz profile.
@@ -233,12 +213,6 @@ def scenario_for(
         and operator == "sum"
         and rng.random() < 0.3
     )
-    # Drawn last so adding the kernel dimension did not shift the rng
-    # stream of any field above (historical tokens replay unchanged).
-    if force_kernel is not None:
-        kernel = force_kernel
-    else:
-        kernel = str(rng.choice(fuzzable_kernels()))
     return Scenario(
         index=name,
         seed=int(seed),
@@ -249,7 +223,6 @@ def scenario_for(
         backend=backend,
         steps=steps,
         engine=engine,
-        kernel=kernel,
     )
 
 

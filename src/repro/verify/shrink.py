@@ -70,10 +70,6 @@ def _candidates(scenario: Scenario) -> Iterator[Scenario]:
         yield replace(scenario, backend="memory")
     if scenario.engine:
         yield replace(scenario, engine=False)
-    if scenario.kernel != "numpy":
-        # If the bug reproduces under the oracle kernel it is not a
-        # kernel-layer bug — prefer the simpler reproducer.
-        yield replace(scenario, kernel="numpy")
     for dim, size in enumerate(scenario.shape):
         if size > 1:
             shape = list(scenario.shape)

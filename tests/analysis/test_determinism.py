@@ -51,7 +51,7 @@ def test_pinned_pools_pass():
 def test_scope_excludes_core_layers():
     rule = DeterminismRule()
     assert rule.applies_to("src/repro/verify/driver.py")
-    assert rule.applies_to("src/repro/kernels/threaded.py")
+    assert rule.applies_to("src/repro/kernels/boundary.py")
     assert rule.applies_to("src/repro/ingest/build.py")
     assert rule.applies_to("benchmarks/bench_blocked_dispatch.py")
     assert not rule.applies_to("src/repro/core/prefix_sum.py")

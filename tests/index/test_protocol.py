@@ -100,14 +100,12 @@ class TestDenseSumProtocol:
 
 
 class TestBlockedPartialBatchPath:
-    """BlockedPartialPrefixSumCube's ``sum_many`` routes through the
-    execution-kernel layer: the ``numpy`` oracle delegates to the
-    protocol mixin's scalar loop, the vectorizing backends answer the
-    batch in one boundary pass."""
+    """BlockedPartialPrefixSumCube's ``sum_many`` picks its path by row
+    count: small batches delegate to the protocol mixin's scalar loop,
+    larger ones are answered in one vectorized boundary pass."""
 
     def test_oracle_kernel_delegates_to_the_mixin(self, rng):
         from repro.index.protocol import RangeSumIndexMixin
-        from repro.kernels import get_kernel
 
         cube = make_cube((12, 9), rng)
         index = create_index(
@@ -116,13 +114,12 @@ class TestBlockedPartialBatchPath:
             prefix_dims=(0,),
             block_size=3,
         )
-        index.kernel = get_kernel("numpy")
         lows, highs = random_query_arrays(cube.shape, 8, rng)
         expected = RangeSumIndexMixin.sum_many(index, lows, highs)
         assert np.array_equal(index.sum_many(lows, highs), expected)
 
     def test_vectorized_kernel_matches_oracle(self, rng):
-        from repro.kernels import get_kernel
+        from repro.index.protocol import RangeSumIndexMixin
 
         cube = make_cube((12, 9, 5), rng)
         index = create_index(
@@ -132,9 +129,7 @@ class TestBlockedPartialBatchPath:
             block_size=3,
         )
         lows, highs = random_query_arrays(cube.shape, 25, rng)
-        index.kernel = get_kernel("numpy")
-        oracle = index.sum_many(lows, highs)
-        index.kernel = get_kernel("threaded")
+        oracle = RangeSumIndexMixin.sum_many(index, lows, highs)
         assert np.array_equal(index.sum_many(lows, highs), oracle)
 
     def test_sum_many_matches_naive(self, rng):

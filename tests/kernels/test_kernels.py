@@ -1,8 +1,8 @@
-"""Backend equivalence: under every kernel, ``sum_many`` answers what
-the structure's scalar ``range_sum`` loop and the naive scan answer —
-values *and* access-counter charges — on every dense sum structure,
-either side of the blocked dispatcher's row threshold, across operators
-and adversarial shapes."""
+"""Batch-path equivalence: ``sum_many`` answers what the structure's
+scalar ``range_sum`` loop and the naive scan answer — values *and*
+access-counter charges — on every dense sum structure, either side of
+the blocked dispatcher's row threshold, across operators and
+adversarial shapes."""
 
 from __future__ import annotations
 
@@ -14,7 +14,7 @@ from repro.core.blocked import VECTORIZED_MIN_ROWS
 from repro.core.operators import SUM, XOR
 from repro.index.registry import create_index
 from repro.instrumentation import NULL_COUNTER, AccessCounter
-from repro.kernels import get_kernel
+from repro.kernels import resolve_kernel
 from repro.kernels.segments import (
     exclusive_offsets,
     expand_runs,
@@ -23,8 +23,6 @@ from repro.kernels.segments import (
 )
 from repro.query.naive import naive_range_sum
 from repro.query.workload import make_cube, random_query_arrays
-
-BACKENDS = ("numpy", "threaded", "numba")
 
 STRUCTURES = {
     "prefix_sum": {},
@@ -47,7 +45,7 @@ ROWS = (
 
 #: Structures whose batch path charges the §8 counter exactly as their
 #: scalar path does (``partial_prefix_sum`` batches through a cached
-#: full prefix array, so there only backends are compared).
+#: full prefix array, so it charges what ``prefix_sum`` charges).
 SCALAR_COUNTER_PARITY = (
     "prefix_sum",
     "blocked_prefix_sum",
@@ -72,15 +70,13 @@ def scalar_loop(index, lows, highs, counter=NULL_COUNTER):
     )
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("name", sorted(STRUCTURES))
 class TestBackendEquivalence:
     @pytest.mark.parametrize("rows", ROWS)
-    def test_matches_naive_and_scalar_loop(self, name, backend, rows, rng):
+    def test_matches_naive_and_scalar_loop(self, name, rows, rng):
         cube = make_cube((11, 9, 7), rng)
         index = create_index(name, cube, **STRUCTURES[name])
         lows, highs = random_query_arrays(cube.shape, rows, rng)
-        index.kernel = get_kernel(backend)
         values = index.sum_many(lows, highs)
         assert np.array_equal(values, scalar_loop(index, lows, highs))
         for k in range(min(rows, 5)):
@@ -88,30 +84,25 @@ class TestBackendEquivalence:
             assert values[k] == naive_range_sum(cube, box)
 
     @pytest.mark.parametrize("rows", ROWS)
-    def test_counter_charges_are_the_scalar_paths(
-        self, name, backend, rows, rng
-    ):
-        """The §8 access-cost proxy is backend-independent: charging
-        fewer (or more) cells under one backend would silently change
-        every benchmark comparing counts to the paper's formulas."""
+    def test_counter_charges_are_the_scalar_paths(self, name, rows, rng):
+        """The §8 access-cost proxy is path-independent: charging fewer
+        (or more) cells on the batch path would silently change every
+        benchmark comparing counts to the paper's formulas."""
         cube = make_cube((10, 8, 6), rng)
         index = create_index(name, cube, **STRUCTURES[name])
         lows, highs = random_query_arrays(cube.shape, rows, rng)
-        index.kernel = get_kernel(backend)
         counter = AccessCounter()
         index.sum_many(lows, highs, counter)
         reference = AccessCounter()
         if name in SCALAR_COUNTER_PARITY:
             scalar_loop(index, lows, highs, reference)
         else:
-            index.kernel = get_kernel("numpy")
-            index.sum_many(lows, highs, reference)
+            create_index("prefix_sum", cube).sum_many(lows, highs, reference)
         assert counter.snapshot() == reference.snapshot()
 
-    def test_empty_and_degenerate_rows(self, name, backend, rng):
+    def test_empty_and_degenerate_rows(self, name, rng):
         cube = make_cube((6, 1, 5), rng)
         index = create_index(name, cube, **STRUCTURES[name])
-        index.kernel = get_kernel(backend)
         lows = np.array([[0, 0, 0], [2, 0, 3], [5, 0, 4]])
         highs = np.array([[5, 0, 4], [1, 0, 2], [5, 0, 4]])
         values = index.sum_many(lows, highs)
@@ -119,20 +110,18 @@ class TestBackendEquivalence:
         assert values[0] == cube.sum()
         assert values[2] == int(cube[5, 0, 4])
 
-    def test_xor_operator(self, name, backend, rng):
+    def test_xor_operator(self, name, rng):
         cube = rng.integers(0, 64, size=(8, 6, 4)).astype(np.int64)
         index = create_index(name, cube, operator=XOR, **STRUCTURES[name])
         lows, highs = random_query_arrays(cube.shape, 20, rng)
-        index.kernel = get_kernel(backend)
         assert np.array_equal(
             index.sum_many(lows, highs), scalar_loop(index, lows, highs)
         )
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 class TestKernelPrimitives:
-    def test_segment_reduce_matches_bruteforce(self, backend, rng):
-        kernel = get_kernel(backend)
+    def test_segment_reduce_matches_bruteforce(self, rng):
+        kernel = resolve_kernel()
         flat = rng.integers(-9, 10, size=500).astype(np.int64)
         lengths = rng.integers(1, 9, size=60).astype(np.int64)
         starts = rng.integers(
@@ -147,10 +136,10 @@ class TestKernelPrimitives:
         )
         assert np.array_equal(out, expected)
 
-    def test_corner_gather_matches_prefix_differences(self, backend, rng):
+    def test_corner_gather_matches_prefix_differences(self, rng):
         from repro.core.prefix_sum import PrefixSumCube
 
-        kernel = get_kernel(backend)
+        kernel = resolve_kernel()
         cube = rng.integers(-5, 6, size=(9, 7)).astype(np.int64)
         structure = PrefixSumCube(cube)
         lows, highs = random_query_arrays(cube.shape, 30, rng)
@@ -161,8 +150,8 @@ class TestKernelPrimitives:
             box = Box(tuple(lows[k]), tuple(highs[k]))
             assert values[k] == naive_range_sum(cube, box)
 
-    def test_scatter_applies_duplicates_sequentially(self, backend):
-        kernel = get_kernel(backend)
+    def test_scatter_applies_duplicates_sequentially(self):
+        kernel = resolve_kernel()
         target = np.zeros(6, dtype=np.int64)
         indices = np.array([1, 1, 4, 1])
         deltas = np.array([2, 3, 7, -1])
@@ -206,7 +195,7 @@ class TestScatterFallback:
     def test_unsafe_cast_falls_back_to_item_loop(self):
         """Negative int deltas into an unsigned target must keep the
         historical per-item semantics, not wrap through ufunc.at."""
-        kernel = get_kernel("numpy")
+        kernel = resolve_kernel()
         target = np.array([10, 20, 30], dtype=np.uint32)
         kernel.scatter(
             target,
@@ -233,15 +222,10 @@ class TestScanMemoryCap:
 
         cube = make_cube((9, 8, 7), rng, low=-20, high=20)
         lows, highs = random_query_arrays(cube.shape, 60, rng)
-        whole = boundary.box_reduce_many(
-            cube, lows, highs, SUM, get_kernel("numpy")
-        )
+        whole = boundary.box_reduce_many(cube, lows, highs, SUM)
         monkeypatch.setattr(boundary, "MAX_SCAN_CELLS", cap)
-        for backend in BACKENDS:
-            sliced = boundary.box_reduce_many(
-                cube, lows, highs, SUM, get_kernel(backend)
-            )
-            assert np.array_equal(sliced, whole)
+        sliced = boundary.box_reduce_many(cube, lows, highs, SUM)
+        assert np.array_equal(sliced, whole)
         for k in range(60):
             box = Box(tuple(lows[k]), tuple(highs[k]))
             assert whole[k] == naive_range_sum(cube, box)
@@ -273,3 +257,40 @@ class TestScanMemoryCap:
         assert np.array_equal(values, expected)
         assert counter.snapshot() == reference.snapshot()
         assert peak < self.PEAK_CAP_BYTES
+
+
+def test_primitives_are_patchable_on_the_kernel_type(monkeypatch, rng):
+    """The instrumentation seam ``benchmarks/e2e/trace.py`` relies on:
+    wrapping the attributes of ``type(resolve_kernel())`` intercepts
+    every primitive the dense structures run."""
+    import inspect
+
+    from repro.core.batch_update import PointUpdate
+
+    owner = type(resolve_kernel())
+    calls = dict.fromkeys(("corner_gather", "segment_reduce", "scatter"), 0)
+
+    def wrap(attr):
+        original = inspect.getattr_static(owner, attr)
+
+        def traced(*args, **kwargs):
+            calls[attr] += 1
+            return original(*args, **kwargs)
+
+        return traced
+
+    for attr in calls:
+        monkeypatch.setattr(owner, attr, wrap(attr))
+    cube = make_cube((11, 9, 7), rng)
+    lows, highs = random_query_arrays(cube.shape, VECTORIZED_MIN_ROWS, rng)
+    updates = [PointUpdate((1, 2, 3), 5)]
+    full = create_index("prefix_sum", cube)
+    full.sum_many(lows, highs)
+    assert calls == {"corner_gather": 1, "segment_reduce": 0, "scatter": 0}
+    full.apply_updates(updates)
+    assert calls["scatter"] == 1
+    blocked = create_index("blocked_prefix_sum", cube, block_size=3)
+    blocked.sum_many(lows, highs)
+    assert calls["corner_gather"] > 1 and calls["segment_reduce"] > 0
+    blocked.apply_updates(updates)
+    assert calls["scatter"] == 2

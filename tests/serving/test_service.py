@@ -729,3 +729,39 @@ class TestStats:
         assert cube["access_counts"]["total"] > 0
         assert stats["cache"]["hits"] == 1
         assert stats["admission"]["completed"] == 2
+
+    def test_access_counts_cover_every_tier(self, data) -> None:
+        """Materialized and fallback hits charge the cube's counter the
+        cells their structure reports, like the indexed tier."""
+        from repro.instrumentation import AccessCounter
+        from repro.optimizer.cuboid_selection import Materialization
+        from repro.query.ranges import RangeQuery, RangeSpec
+
+        service = QueryService(ServeConfig(coalesce_window_s=0.0))
+        cube = service.register_cube(
+            "c", data, engine=None, plan=[Materialization((0, 1), 1, 0.0)]
+        )
+
+        def ask(payload: dict, tier: str) -> int:
+            before = service.stats()["cubes"]["c"]["access_counts"]["total"]
+            assert run(service.query(payload))["tier"] == tier
+            after = service.stats()["cubes"]["c"]["access_counts"]["total"]
+            return after - before
+
+        covered = RangeQuery(
+            (
+                RangeSpec.between(1, 5),
+                RangeSpec.between(2, 6),
+                RangeSpec.all(),
+            )
+        )
+        reported = AccessCounter()
+        cube.cuboids.range_sum(covered, reported)
+        assert reported.total > 0
+        assert (
+            ask({"cube": "c", "ranges": [[1, 5], [2, 6], None]}, "materialized")
+            == reported.total
+        )
+        for op in ("sum", "max", "min"):
+            payload = {"cube": "c", "op": op, "ranges": [[1, 5], [2, 6], [0, 3]]}
+            assert ask(payload, "fallback") == 5 * 5 * 4
