@@ -8,7 +8,7 @@ untransferred leaks disk for the life of the process — and the inverse
 mistake, calling ``release()`` on a backend the *caller* provided,
 unlinks sibling builds' live arrays (the PR 9 review bug: an aborted
 ``ingest_per_scan`` released a shared root, deleting spill files other
-builds were still serving).
+builds were still serving; that function has since been removed).
 
 The rule runs :func:`repro.analysis.ownership.analyze_function` over
 every function in scope and reports two distinct violations:

@@ -6,9 +6,8 @@ every benchmark pins its generator so numbers are comparable across
 runs.  One ``np.random.rand()`` — or a ``default_rng()`` with no seed —
 quietly breaks both.
 
-The serving layer is held to the same standard: its load generator
-(``repro.serving.loadgen``) feeds benchmark numbers and overload tests,
-and its worker pool sizes must not float with the host's core count.
+The serving layer is held to the same standard: its worker pool sizes
+must not float with the host's core count.
 So is the optimizer: physical-design advice replayed from the same
 observer window must reproduce the same plan, or the adaptive
 controller's swap history becomes impossible to audit.

@@ -10,8 +10,7 @@ materialization — directly from a stream of fact-table records:
   measure dtype, and the memory budget that decides when the build
   spills through a :class:`~repro.index.MemmapBackend`;
 * :mod:`repro.ingest.accumulate` — the one-pass scatter accumulators;
-* :mod:`repro.ingest.build` — :func:`ingest` (one pass, every cuboid)
-  and :func:`ingest_per_scan` (the ``k + 1``-scan baseline).
+* :mod:`repro.ingest.build` — :func:`ingest` (one pass, every cuboid).
 
 ``python -m repro.ingest data.csv --cuboids "0,1;1"`` runs a build from
 the command line; ``docs/INGEST.md`` walks through the design.
@@ -35,7 +34,6 @@ from repro.ingest.build import (
     IngestResult,
     in_memory_reference,
     ingest,
-    ingest_per_scan,
 )
 from repro.ingest.plan import IngestPlan, group_by_dtype, plan_cuboids
 
@@ -52,7 +50,6 @@ __all__ = [
     "in_memory_reference",
     "infer_shape",
     "ingest",
-    "ingest_per_scan",
     "iter_arrow_batches",
     "iter_csv_batches",
     "iter_parquet_batches",

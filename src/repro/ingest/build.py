@@ -5,12 +5,10 @@ stream fills every accumulator (:mod:`repro.ingest.accumulate`), then
 each cuboid's finalize step runs the ordinary registry construction over
 its cells *in place* (through an :class:`~repro.index.AdoptingBackend`,
 so no accumulator is copied) and the results assemble into a servable
-:class:`~repro.optimizer.materialize.MaterializedCuboidSet`.
-
-:func:`ingest_per_scan` is the honest baseline the paper-era pipeline
-implies: one full pass over the source per accumulated array (the base
-plus each cuboid), ``k + 1`` scans in total.  ``benchmarks/
-bench_ingest.py`` races the two.
+:class:`~repro.optimizer.materialize.MaterializedCuboidSet`.  Building
+each array independently would cost one full pass over the source per
+array (the base plus each cuboid, ``k + 1`` scans); the ``ingest-build``
+workload of ``benchmarks/e2e`` measures the one-pass path end to end.
 
 Failure atomicity: any error mid-stream (malformed batch, out-of-range
 record, a source that dies halfway) releases every accumulator scope
@@ -21,7 +19,7 @@ behind.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from collections.abc import Callable, Iterable
+from collections.abc import Iterable
 from typing import Any
 
 from repro.index.backend import (
@@ -29,11 +27,7 @@ from repro.index.backend import (
     ArrayBackend,
     MemmapBackend,
 )
-from repro.ingest.accumulate import (
-    CuboidAccumulator,
-    MultiCuboidAccumulator,
-    validate_batch,
-)
+from repro.ingest.accumulate import MultiCuboidAccumulator
 from repro.ingest.batches import RecordBatch
 from repro.ingest.plan import IngestPlan
 from repro.optimizer.materialize import MaterializedCuboidSet
@@ -146,86 +140,6 @@ def ingest(
         rows=accumulator.rows,
         batches=accumulator.batches,
         spilled=isinstance(accumulator.backend, MemmapBackend),
-    )
-
-
-def ingest_per_scan(
-    batch_source: Callable[[], Iterable[RecordBatch]],
-    plan: IngestPlan,
-    backend: ArrayBackend | None = None,
-) -> IngestResult:
-    """The ``k + 1``-scan baseline: one full source pass per array.
-
-    Re-opens the source once for the base cube and once per cuboid —
-    what building each structure independently costs when the cube never
-    fits in memory and every build must go back to the records.  Exists
-    for ``benchmarks/bench_ingest.py``; production code wants
-    :func:`ingest`.
-
-    Args:
-        batch_source: Zero-argument callable yielding a *fresh* batch
-            iterator per call (a file path re-opened each time).
-        plan: What to build.
-        backend: Root backend, as for :func:`ingest`.
-    """
-    owns_root = backend is None
-    root = plan.make_backend() if backend is None else backend
-    scope = root.subscope("cuboids")
-    base_scope = root.subscope("base")
-    try:
-        base = CuboidAccumulator(
-            "base",
-            tuple(range(plan.ndim)),
-            plan.shape,
-            plan.base_dtype,
-            base_scope,
-        )
-        rows = 0
-        batches = 0
-        for batch in batch_source():
-            base.absorb(validate_batch(batch, plan), batch.values)
-            rows += batch.rows
-            batches += 1
-        adopting = AdoptingBackend(scope)
-        structures = []
-        for chosen in plan.cuboids:
-            dtype = (
-                plan.base_dtype
-                if len(chosen.key) == plan.ndim
-                else plan.group_dtype
-            )
-            name = "cuboid-" + "-".join(str(j) for j in chosen.key)
-            acc = CuboidAccumulator(
-                name, chosen.key, plan.cuboid_shape(chosen.key), dtype, scope
-            )
-            for batch in batch_source():
-                acc.absorb(validate_batch(batch, plan), batch.values)
-            structures.append(
-                chosen.index_spec().build(acc.cells, backend=adopting)
-            )
-        cuboid_set = MaterializedCuboidSet.from_accumulated(
-            base.cells, plan.cuboids, structures, backend=adopting
-        )
-        base_scope.flush()
-        root.flush()
-        adopting.flush()
-    except BaseException:
-        # Same ownership rule as MultiCuboidAccumulator.release():
-        # retire only the scopes this build created; a caller-provided
-        # root may hold sibling builds' live arrays.
-        scope.release()
-        base_scope.release()
-        if owns_root:
-            root.release()
-        raise
-    return IngestResult(
-        cuboid_set=cuboid_set,
-        plan=plan,
-        backend=root,
-        base_backend=base_scope,
-        rows=rows,
-        batches=batches,
-        spilled=isinstance(root, MemmapBackend),
     )
 
 

@@ -29,13 +29,6 @@ from repro.serving.errors import (
     Unsupported,
 )
 from repro.serving.http import ServingServer
-from repro.serving.loadgen import (
-    DriftPhase,
-    LoadReport,
-    generate_drifting_requests,
-    generate_requests,
-    run_load,
-)
 from repro.serving.router import SCALAR_OPS, TIERS, TieredRouter
 from repro.serving.rwlock import ReadWriteLock
 from repro.serving.service import (
@@ -53,8 +46,6 @@ __all__ = [
     "BadRequest",
     "CacheKey",
     "CubeInconsistent",
-    "DriftPhase",
-    "LoadReport",
     "Overloaded",
     "QueryService",
     "QueryTimeout",
@@ -72,7 +63,4 @@ __all__ = [
     "UnknownResource",
     "Unsupported",
     "cache_key",
-    "generate_drifting_requests",
-    "generate_requests",
-    "run_load",
 ]

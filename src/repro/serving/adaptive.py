@@ -62,7 +62,7 @@ class AdaptiveController:
         space_budget: Planning budget override (default: config, which
             itself defaults to each cube's own cell count).
         hysteresis / min_weight / max_block: Per-knob overrides of the
-            service config (see :class:`~repro.serving.ServeConfig`).
+            service defaults (see :meth:`QueryService.plan_delta`).
 
     Use as an async context manager, or call :meth:`start` /
     :meth:`stop` explicitly.  :meth:`step` runs one advisory cycle for
@@ -155,13 +155,12 @@ class AdaptiveController:
         """One observe→decide→(maybe) actuate pass for one cube.
 
         Returns the delta the advisor produced, or ``None`` when the
-        cube is unknown, quarantined, unobserved, or mid-swap already.
+        cube is unknown, quarantined, or mid-swap already.
         """
         cube = self.service.cubes.get(name)
         if (
             cube is None
             or not cube.healthy
-            or cube.observer is None
             or cube.pending_design_updates is not None
         ):
             return None

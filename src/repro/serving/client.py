@@ -2,7 +2,7 @@
 
 One :class:`ServingClient` holds one keep-alive connection and issues
 sequential requests over it; concurrency comes from multiple clients
-(exactly how the load generator and the benchmark drive the service).
+(exactly how the serving tests drive the service).
 No dependencies beyond the standard library, so the demo script and the
 tests run anywhere the server does.
 """

@@ -23,7 +23,7 @@ Connections are keep-alive by default (HTTP/1.1 semantics); every
 :class:`~repro.serving.errors.ServingError` maps to its status with a
 JSON error body, anything else escaping a handler is a 500.  Each
 connection handles one request at a time — concurrency comes from
-concurrent connections, which is how the load generator and benchmark
+concurrent connections, which is how the tests and ``benchmarks/e2e``
 drive the service.
 """
 
@@ -241,7 +241,7 @@ class ServingServer:
     async def _post(self, path: str, body: bytes) -> dict:
         try:
             payload = json.loads(body) if body else {}
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise BadRequest(f"invalid JSON body: {exc}") from exc
         if not isinstance(payload, dict):
             raise BadRequest("request body must be a JSON object")

@@ -71,6 +71,20 @@ from repro.serving.rwlock import ReadWriteLock
 #: ``engine=None`` (register with no indexed tier).
 _UNSET: Any = object()
 
+#: Queries each cube's live
+#: :class:`~repro.query.observer.WorkloadObserver` window retains (the
+#: adaptive advisor's input).
+OBSERVER_CAPACITY = 4096
+
+#: Minimum modeled cost ratio (incumbent/candidate) before the adaptive
+#: controller actuates a swap.
+ADAPTIVE_HYSTERESIS = 1.15
+
+#: Largest block size the online advisor considers (smaller than the
+#: offline default: each candidate block size costs a selector pass per
+#: cycle).
+ADAPTIVE_MAX_BLOCK = 64
+
 
 @dataclass(frozen=True)
 class ServeConfig:
@@ -98,10 +112,6 @@ class ServeConfig:
             :class:`~repro.query.observer.WorkloadObserver` and
             :meth:`QueryService.save_logbooks` writes them next to this
             path (the §9 advisor workload format).
-        observer_capacity: Queries each cube's live
-            :class:`~repro.query.observer.WorkloadObserver` window
-            retains (the adaptive advisor's input); ``0`` disables
-            observation entirely.
         observer_decay: Per-event decay of the observer window (``1.0``
             weights all retained traffic equally).
         adaptive_interval_s: Seconds between
@@ -110,13 +120,8 @@ class ServeConfig:
         adaptive_space_budget: Auxiliary-cell budget the online advisor
             plans under; ``None`` defaults to the cube's own cell count
             (aux structures may use as much space as the base data).
-        adaptive_hysteresis: Minimum modeled cost ratio
-            (incumbent/candidate) before the controller actuates a swap.
         adaptive_min_weight: Minimum decayed query weight a window needs
             before re-planning is attempted.
-        adaptive_max_block: Largest block size the online advisor
-            considers (smaller than the offline default: each candidate
-            block size costs a selector pass per cycle).
     """
 
     coalesce_window_s: float = 0.002
@@ -130,13 +135,10 @@ class ServeConfig:
     max_rollup_cells: int = 1 << 16
     executor_workers: int | None = None
     logbook_path: str | None = None
-    observer_capacity: int = 4096
     observer_decay: float = 0.995
     adaptive_interval_s: float = 5.0
     adaptive_space_budget: float | None = None
-    adaptive_hysteresis: float = 1.15
     adaptive_min_weight: float = 8.0
-    adaptive_max_block: int = 64
 
 
 @dataclass
@@ -149,13 +151,13 @@ class ServedCube:
     engine: RangeQueryEngine | None
     cuboids: MaterializedCuboidSet | None
     counter: AccessCounter
+    #: The live workload window the adaptive advisor plans from.
+    observer: WorkloadObserver
     fallback: bool = True
     generation: int = 0
     queries: int = 0
     updates_applied: int = 0
     logbook: WorkloadObserver | None = None
-    #: The live workload window the adaptive advisor plans from.
-    observer: WorkloadObserver | None = None
     #: Audit trail of adaptive plan swaps (the ``/design`` view).
     swap_history: list[dict] = field(default_factory=list)
     #: Non-None while an adaptive rebuild is in flight: every update
@@ -343,18 +345,17 @@ class QueryService:
             engine=engine,
             cuboids=cuboids,
             counter=counter,
+            observer=WorkloadObserver(
+                base.shape,
+                capacity=OBSERVER_CAPACITY,
+                decay=self.config.observer_decay,
+            ),
             fallback=fallback,
             design_backend=backend,
         )
         if self.config.logbook_path is not None:
             served.logbook = WorkloadObserver(
                 served.shape, capacity=None, decay=1.0
-            )
-        if self.config.observer_capacity > 0:
-            served.observer = WorkloadObserver(
-                served.shape,
-                capacity=self.config.observer_capacity,
-                decay=self.config.observer_decay,
             )
         self.cubes[name] = served
         return served
@@ -505,11 +506,6 @@ class QueryService:
         ``max_block``, ``min_query_weight``.
         """
         cube = self._cube(payload.get("cube"))
-        if cube.observer is None:
-            raise BadRequest(
-                "cube has no workload observer "
-                "(service was configured with observer_capacity=0)"
-            )
         space_budget = _parse_number(
             payload.get("space_budget"), "space_budget", minimum=1.0
         )
@@ -560,8 +556,9 @@ class QueryService:
     ) -> DesignDelta:
         """Run :func:`~repro.optimizer.advisor.re_advise` for one cube.
 
-        ``None`` arguments fall back to the service config; a ``None``
-        configured budget defaults to the cube's own cell count.
+        ``None`` arguments fall back to the service config (or to
+        :data:`ADAPTIVE_MAX_BLOCK` / :data:`ADAPTIVE_HYSTERESIS`); a
+        ``None`` configured budget defaults to the cube's own cell count.
         """
         cfg = self.config
         budget = (
@@ -576,12 +573,10 @@ class QueryService:
             cube.plan,
             budget,
             max_block=(
-                cfg.adaptive_max_block if max_block is None else max_block
+                ADAPTIVE_MAX_BLOCK if max_block is None else max_block
             ),
             hysteresis=(
-                cfg.adaptive_hysteresis
-                if hysteresis is None
-                else hysteresis
+                ADAPTIVE_HYSTERESIS if hysteresis is None else hysteresis
             ),
             min_query_weight=(
                 cfg.adaptive_min_weight
@@ -604,12 +599,8 @@ class QueryService:
         tier_stats = self.router.stats()
         out: dict[str, dict] = {}
         for name, cube in sorted(self.cubes.items()):
-            snapshot = (
-                None
-                if cube.observer is None
-                else cube.observer.snapshot()
-            )
-            stats = None if snapshot is None else snapshot.statistics()
+            snapshot = cube.observer.snapshot()
+            stats = snapshot.statistics()
             predicted: dict[str, float] = {}
             if stats is not None:
                 predicted["fallback"] = stats.volume
@@ -636,7 +627,7 @@ class QueryService:
                     for m in cube.plan
                 ],
                 "generation": cube.generation,
-                "window": None if snapshot is None else snapshot.to_dict(),
+                "window": snapshot.to_dict(),
                 "swap_history": list(cube.swap_history),
                 "swap_in_flight": cube.pending_design_updates is not None,
                 "predicted_tier_cost": predicted,
@@ -763,8 +754,7 @@ class QueryService:
             self.cache.put(key, generation, value)
         if cube.logbook is not None:
             cube.logbook.observe_box(box)
-        if cube.observer is not None:
-            cube.observer.observe_box(box, op)
+        cube.observer.observe_box(box, op)
         cube.queries += 1
         response = {
             "cube": cube.name,
@@ -809,9 +799,8 @@ class QueryService:
         if cube.logbook is not None:
             for box in boxes:
                 cube.logbook.observe_box(box)
-        if cube.observer is not None:
-            for box in boxes:
-                cube.observer.observe_box(box, op)
+        for box in boxes:
+            cube.observer.observe_box(box, op)
         cube.queries += len(boxes)
         response = {
             "cube": cube.name,
@@ -941,8 +930,7 @@ class QueryService:
             cube.generation += 1
             cube.updates_applied += len(updates)
             self.cache.invalidate_cube(cube.name)
-        if cube.observer is not None:
-            cube.observer.observe_update(len(updates))
+        cube.observer.observe_update(len(updates))
         return {
             "cube": cube.name,
             "applied": len(updates),

@@ -7,7 +7,7 @@ from pathlib import Path
 from repro.analysis.engine import lint_source
 from repro.analysis.rules.backend_lifecycle import BackendLifecycleRule
 
-from tests.analysis.conftest import lint_fixture, rule_lines
+from tests.analysis.conftest import FIXTURES, lint_fixture, rule_lines
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 RULE_ID = BackendLifecycleRule.rule_id
@@ -38,8 +38,9 @@ class TestRevertCoverage:
     """The rule must fail if the PR 9 review fixes were reverted.
 
     Each test textually re-introduces one shipped bug into a copy of the
-    real source and asserts the rule catches it — the ISSUE's acceptance
-    criterion that the analyzer covers the bug class, not just fixtures.
+    real source (or of the fixture that keeps a removed function's
+    shape) and asserts the rule catches it, so the analyzer is shown to
+    cover the bug class, not just the seeded fixtures.
     """
 
     def _lint(self, relative: str, source: str):
@@ -51,15 +52,19 @@ class TestRevertCoverage:
         assert [v for v in report.violations if v.rule_id == RULE_ID] == []
 
     def test_unguarding_ingest_root_release_fails(self):
-        """Revert: release a caller-provided root on the abort path."""
-        path = REPO_ROOT / "src/repro/ingest/build.py"
-        original = path.read_text()
+        """Revert: release a caller-provided root on the abort path.
+
+        The shipped bug lived in a builder that has since been removed;
+        the fixture's ``guarded_conditional_owner`` keeps its shape.
+        """
+        relative = "repro/ingest/lifecycle_ok.py"
+        original = (FIXTURES / relative).read_text()
         buggy = original.replace(
             "        if owns_root:\n            root.release()\n",
             "        root.release()\n",
         )
-        assert buggy != original, "expected the owns_root guard in build.py"
-        report = self._lint("src/repro/ingest/build.py", buggy)
+        assert buggy != original, "expected the owns_root guard in the fixture"
+        report = self._lint(relative, buggy)
         flagged = [v for v in report.violations if v.rule_id == RULE_ID]
         assert flagged, "reverting the owns_root guard must trip the rule"
         assert any("conditionally owned" in v.message for v in flagged)

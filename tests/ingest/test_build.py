@@ -21,7 +21,6 @@ from repro.ingest import (
     batches_from_records,
     in_memory_reference,
     ingest,
-    ingest_per_scan,
     plan_cuboids,
 )
 from repro.optimizer.materialize import MaterializedCuboidSet
@@ -136,28 +135,6 @@ class TestStreamedEqualsInMemory:
             query
         )
 
-    def test_per_scan_baseline_equivalent(self, cube, tmp_path):
-        plan = IngestPlan(
-            shape=cube.shape,
-            cuboids=plan_cuboids(cube.shape, [(0, 1), (1,)], 4),
-        )
-        one_pass = ingest(batches_from_cube(cube, batch_rows=50), plan)
-        per_scan = ingest_per_scan(
-            lambda: batches_from_cube(cube, batch_rows=50), plan
-        )
-        assert per_scan.rows == one_pass.rows
-        np.testing.assert_array_equal(
-            np.asarray(per_scan.cuboid_set.base),
-            np.asarray(one_pass.cuboid_set.base),
-        )
-        for a, b in zip(
-            per_scan.cuboid_set.cuboids, one_pass.cuboid_set.cuboids
-        ):
-            np.testing.assert_array_equal(
-                np.asarray(a.structure.source),
-                np.asarray(b.structure.source),
-            )
-
     def test_duplicate_records_accumulate(self):
         coords = np.array([[1, 1], [1, 1], [0, 2]], dtype=np.int64)
         values = np.array([5, 7, 2], dtype=np.int64)
@@ -270,19 +247,6 @@ class TestFailureAtomicity:
             if p != survivor
         ]
         assert not leftovers
-
-    def test_per_scan_abort_spares_sibling_arrays(self, cube, tmp_path):
-        backend = MemmapBackend(tmp_path / "spill")
-        sibling = backend.empty("sibling", (4,), np.int64)
-        sibling[...] = 3
-        plan = IngestPlan(
-            shape=cube.shape,
-            cuboids=plan_cuboids(cube.shape, [(0, 1)], 4),
-        )
-        with pytest.raises(IngestError, match="outside cube shape"):
-            ingest_per_scan(lambda: self.bad_stream(cube), plan, backend)
-        assert backend.live_arrays == 1
-        assert np.array_equal(np.load(backend.spill_files[0]), sibling)
 
     def test_dimension_mismatch(self):
         plan = IngestPlan(shape=(4, 4))

@@ -16,12 +16,7 @@ import numpy as np
 import pytest
 
 from repro.optimizer.materialize import MaterializedCuboidSet
-from repro.serving import (
-    AdaptiveController,
-    DriftPhase,
-    SwapInFlight,
-    generate_drifting_requests,
-)
+from repro.serving import AdaptiveController, SwapInFlight
 from repro.serving.service import QueryService, ServeConfig
 
 SHAPE = (24, 24, 8)
@@ -351,55 +346,117 @@ class TestEndpoints:
         asyncio.run(main())
 
 
-class TestDriftingLoadgen:
-    PHASES = (
-        DriftPhase(requests=30, hot_dims=(0, 1)),
-        DriftPhase(
-            requests=30, hot_dims=(2,), update_fraction=0.3
-        ),
-    )
+def drift_requests(
+    rng: np.random.Generator,
+    shape: tuple[int, ...],
+    hot_dims: tuple[int, ...],
+    count: int,
+    update_fraction: float = 0.0,
+) -> list[tuple[str, dict]]:
+    """Seeded ``(path, body)`` traffic whose hot cuboid is ``hot_dims``.
 
-    def test_stream_is_seeded_deterministic(self) -> None:
-        first = generate_drifting_requests(
-            np.random.default_rng(7), SHAPE, self.PHASES, cube="c"
-        )
-        second = generate_drifting_requests(
-            np.random.default_rng(7), SHAPE, self.PHASES, cube="c"
-        )
-        assert first == second
-        assert len(first) == 60
-
-    def test_phases_shape_the_traffic(self) -> None:
-        stream = generate_drifting_requests(
-            np.random.default_rng(7), SHAPE, self.PHASES, cube="c"
-        )
-        phase_one = stream[:30]
-        assert all(p["path"] == "/query" for p in phase_one)
-        for payload in phase_one:
-            ranges = payload["body"]["ranges"]
-            assert ranges[0] is not None and ranges[1] is not None
-            assert ranges[2] is None
-        phase_two = stream[30:]
-        updates = [p for p in phase_two if p["path"] == "/update"]
-        assert updates  # the mix shifted
-        for payload in updates:
-            assert payload["body"]["updates"]
-
-    def test_validation(self) -> None:
-        with pytest.raises(ValueError, match="hot dim"):
-            generate_drifting_requests(
-                np.random.default_rng(0),
-                SHAPE,
-                [DriftPhase(requests=1, hot_dims=(9,))],
+    Queries constrain each hot dimension to a sub-range of about 40 % of
+    its extent and leave the rest at ``all``; ``update_fraction`` of the
+    requests are ``/update`` posts of four random point deltas.
+    """
+    requests: list[tuple[str, dict]] = []
+    for _ in range(count):
+        if rng.random() < update_fraction:
+            updates = [
+                {
+                    "index": [int(rng.integers(0, n)) for n in shape],
+                    "delta": int(rng.integers(1, 10)),
+                }
+                for _ in range(4)
+            ]
+            requests.append(("/update", {"cube": "c", "updates": updates}))
+            continue
+        ranges: list[object] = []
+        for dim, extent in enumerate(shape):
+            if dim not in hot_dims:
+                ranges.append(None)
+                continue
+            length = max(
+                1, min(extent, round(0.4 * extent * rng.uniform(0.5, 1.5)))
             )
-        with pytest.raises(ValueError, match="update_fraction"):
-            DriftPhase(requests=1, hot_dims=(0,), update_fraction=2.0)
-        with pytest.raises(ValueError, match="range_scale"):
-            DriftPhase(requests=1, hot_dims=(0,), range_scale=0.0)
+            lo = int(rng.integers(0, extent - length + 1))
+            ranges.append([lo, lo + length - 1])
+        requests.append(
+            ("/query", {"cube": "c", "op": "sum", "ranges": ranges})
+        )
+    return requests
+
+
+class TestDrift:
+    """Traffic moves from the <d0, d1> cuboid to <d1, d2> plus updates."""
+
+    def test_readvising_after_drift_beats_frozen_plan(self) -> None:
+        """The adaptive loop's deterministic payoff, under one model.
+
+        Both plans are scored by the advisor's own update-aware
+        objective over the post-drift window: the plan tuned for the
+        warm-up traffic must cost >= 1.5x the re-stepped plan per unit
+        query weight.  Requests run one at a time, so the window (and
+        the ratio) does not depend on timing.
+        """
+        shape = (48, 48, 24)
+
+        async def main() -> float:
+            service = QueryService(
+                ServeConfig(
+                    coalesce_window_s=0.0,
+                    cache_capacity=0,
+                    observer_decay=0.97,
+                    adaptive_min_weight=4.0,
+                )
+            )
+            rng = np.random.default_rng(1997)
+            service.register_cube(
+                "c", rng.integers(0, 1000, size=shape, dtype=np.int64)
+            )
+            controller = AdaptiveController(service)
+
+            async def replay(requests: list[tuple[str, dict]]) -> None:
+                for path, body in requests:
+                    if path == "/update":
+                        await service.update(body)
+                    else:
+                        await service.query(body)
+
+            await replay(drift_requests(rng, shape, (0, 1), 150))
+            await controller.step("c")
+            await replay(drift_requests(rng, shape, (1, 2), 150, 0.1))
+            cube = service.cubes["c"]
+            snapshot = cube.observer.snapshot()
+
+            def mean_cost() -> float:
+                delta = service.plan_delta(cube, snapshot)
+                return delta.incumbent_cost / snapshot.query_weight
+
+            frozen = mean_cost()
+            await controller.step("c")
+            adaptive = mean_cost()
+            assert controller.swaps == 2
+            await service.close()
+            return frozen / adaptive
+
+        assert asyncio.run(main()) >= 1.5
 
     def test_drift_over_http_triggers_adaptation(self) -> None:
-        from repro.serving import run_load
+        from repro.serving.client import ServingClient
         from repro.serving.http import ServingServer
+
+        async def send(port: int, requests: list[tuple[str, dict]]) -> None:
+            """Four keep-alive clients at once; any non-2xx raises."""
+
+            async def worker(share: list[tuple[str, dict]]) -> None:
+                async with ServingClient("127.0.0.1", port) as client:
+                    for path, body in share:
+                        await client.request("POST", path, body)
+
+            await asyncio.gather(
+                *(worker(requests[i::4]) for i in range(4))
+            )
 
         async def main() -> None:
             service = make_service(observer_decay=0.97)
@@ -408,35 +465,15 @@ class TestDriftingLoadgen:
             await server.start()
             try:
                 rng = np.random.default_rng(11)
-                phase_one = generate_drifting_requests(
-                    rng,
-                    SHAPE,
-                    [DriftPhase(requests=60, hot_dims=(0, 1))],
-                    cube="c",
+                await send(
+                    server.port, drift_requests(rng, SHAPE, (0, 1), 60)
                 )
-                report = await run_load(
-                    "127.0.0.1", server.port, phase_one, concurrency=4
-                )
-                assert report.errors == 0 and report.shed == 0
                 first = await controller.step("c")
                 assert first is not None and first.should_swap
-
-                phase_two = generate_drifting_requests(
-                    rng,
-                    SHAPE,
-                    [
-                        DriftPhase(
-                            requests=120,
-                            hot_dims=(1, 2),
-                            update_fraction=0.1,
-                        )
-                    ],
-                    cube="c",
+                await send(
+                    server.port,
+                    drift_requests(rng, SHAPE, (1, 2), 120, 0.1),
                 )
-                report = await run_load(
-                    "127.0.0.1", server.port, phase_two, concurrency=4
-                )
-                assert report.errors == 0
                 await controller.step("c")
                 history = service.cubes["c"].swap_history
                 assert len(history) >= 1

@@ -124,6 +124,19 @@ def test_malformed_json_is_400() -> None:
     serve(body)
 
 
+def test_non_utf8_body_is_400() -> None:
+    """A body that is not UTF-8 is the client's fault, not a 500."""
+
+    async def body(server, data) -> None:
+        status, payload = await server._dispatch(
+            "POST", "/query", b'{"cube": "web\xff"}'
+        )
+        assert status == 400
+        assert payload["error"] == "bad_request"
+
+    serve(body)
+
+
 def test_malformed_request_line_is_400_and_closes() -> None:
     async def body(server, data) -> None:
         reader, writer = await asyncio.open_connection(

@@ -11,9 +11,9 @@ import pytest
 from repro.serving import (
     QueryService,
     ServeConfig,
+    ServingClient,
+    ServingClientError,
     ServingServer,
-    generate_requests,
-    run_load,
 )
 from repro.serving.errors import Overloaded, QueryTimeout
 
@@ -125,26 +125,34 @@ def test_deadline_expiry_maps_to_timeout() -> None:
 def test_shed_requests_surface_as_429_over_http() -> None:
     service = _slow_service(delay_s=0.02, max_inflight=1, max_queue=1)
 
-    async def drive() -> None:
+    async def drive() -> tuple[list[int], list[float]]:
         server = ServingServer(service)
         await server.start()
+        statuses: list[int] = []
+        latencies: list[float] = []
+
+        async def one_connection() -> None:
+            async with ServingClient(server.host, server.port) as client:
+                for _ in range(8):
+                    started = time.perf_counter()
+                    try:
+                        await client.request("POST", "/query", PAYLOAD)
+                    except ServingClientError as exc:
+                        statuses.append(exc.status)
+                        continue
+                    latencies.append(time.perf_counter() - started)
+                    statuses.append(200)
+
         try:
-            rng = np.random.default_rng(0x429)
-            payloads = generate_requests(
-                rng, (6, 6), 60, cube="c", hot_fraction=0.0
-            )
-            report = await run_load(
-                server.host, server.port, payloads, concurrency=8
-            )
-            # Under 8-way pressure on a 1+1 service, some requests are
-            # shed with an explicit 429 and the rest complete normally.
-            assert report.shed > 0
-            assert report.completed > 0
-            assert report.errors == 0
-            assert report.completed + report.shed == 60
-            # Bounded latency for the admitted requests.
-            assert report.p99_ms < 5000
+            await asyncio.gather(*(one_connection() for _ in range(8)))
         finally:
             await server.stop()
+        return statuses, latencies
 
-    asyncio.run(drive())
+    statuses, latencies = asyncio.run(drive())
+    # Under 8-way pressure on a 1+1 service, some requests are shed
+    # with an explicit 429 and the rest complete normally.
+    assert len(statuses) == 64
+    assert set(statuses) == {200, 429}
+    # Bounded latency for the admitted requests.
+    assert max(latencies) < 5.0
