@@ -8,8 +8,9 @@ slab of such records — a ``(rows, d)`` coordinate array and a
 
 Sources:
 
-* :func:`iter_csv_batches` — always available (stdlib ``csv``), streams
-  a headered CSV in bounded-size batches;
+* :func:`iter_csv_batches` — always available (``np.loadtxt`` per block
+  of lines, stdlib ``csv`` for quotes and errors), streams a headered
+  CSV in bounded-size batches;
 * :func:`iter_arrow_batches` / :func:`iter_parquet_batches` — available
   when ``pyarrow`` is importable (a *soft* dependency: absence
   degrades silently to "format unsupported", no import-time failure,
@@ -19,8 +20,8 @@ Sources:
   sources for tests and benchmarks.
 
 Every source raises :class:`IngestError` on malformed input (ragged
-rows, non-numeric fields, wrong column counts) with the offending row
-number; the accumulators guarantee that an error mid-stream leaves no
+rows, non-numeric fields, wrong column counts) — for CSV, naming the
+offending line; the accumulators guarantee that an error mid-stream leaves no
 partial spill files behind.
 """
 
@@ -28,8 +29,10 @@ from __future__ import annotations
 
 import csv
 import importlib.util
+import itertools
 import os
-from collections.abc import Iterator, Sequence
+import warnings
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -177,6 +180,42 @@ def _resolve_columns(
     return dim_at, measure_at
 
 
+@dataclass(frozen=True)
+class _CsvLayout:
+    """Where a CSV's cube dimensions and measure sit, for error messages
+    and for both parse paths."""
+
+    path: str
+    header: list[str]
+    dim_at: list[int]
+    measure_at: int
+    dtype: np.dtype
+
+    def block_dtype(self) -> np.dtype | None:
+        """The structured ``np.loadtxt`` dtype, one field per column.
+
+        ``None`` — every block takes the ``csv.reader`` path — when some
+        column is neither a dimension nor the measure (``loadtxt`` with
+        ``usecols`` silently accepts rows with extra fields), or when the
+        measure is not a number (``loadtxt`` reads ``"0"`` as a ``False``
+        bool, ``np.array`` as ``True``).
+        """
+        if len(set(self.dim_at)) + 1 != len(self.header):
+            return None
+        if self.dtype.kind not in "iuf":
+            return None
+        return np.dtype(
+            [
+                (f"f{i}", self.dtype if i == self.measure_at else np.int64)
+                for i in range(len(self.header))
+            ]
+        )
+
+
+#: Lines ``csv.reader`` reads as an empty row (skipped on both paths).
+_BLANK_LINES = ("\n", "\r\n", "\r")
+
+
 def iter_csv_batches(
     path: str | os.PathLike[str],
     *,
@@ -187,75 +226,176 @@ def iter_csv_batches(
 ) -> Iterator[RecordBatch]:
     """Stream a headered CSV file as :class:`RecordBatch` slabs.
 
+    Each block of up to ``batch_rows`` lines is parsed by one
+    ``np.loadtxt`` call.  A block goes through ``csv.reader`` and
+    per-row conversion instead when ``loadtxt`` rejects it, when the
+    file has columns the cube does not use, or once a ``"`` appears
+    (from that block to the end of the file, so quoted fields may span
+    lines).  The fast path accepts nothing the ``csv.reader`` path
+    rejects and returns the same values; the ``csv.reader`` path is the
+    one that names the offending line.
+
     Args:
-        path: CSV file with a header row.
+        path: CSV file with a header row (UTF-8; a leading byte-order
+            mark is ignored).
         dims: Dimension column names, in cube-dimension order; default
             every column except the measure.
         measure: Measure column name; default the last column.
         dtype: Measure dtype the value column is parsed as (parse
             errors — e.g. ``"3.5"`` into an integer cube — raise
             :class:`IngestError` rather than truncating).
-        batch_rows: Rows per emitted batch.
+        batch_rows: Lines per emitted batch (blank lines are skipped,
+            so a batch may hold fewer records).
 
     Raises:
         IngestError: On a missing header, unknown columns, ragged rows,
-            or unparseable fields, naming the offending row.
+            or unparseable fields, naming the offending line.
     """
     if batch_rows < 1:
         raise IngestError(f"batch_rows must be >= 1, got {batch_rows}")
-    with open(path, newline="") as handle:
+    with open(path, newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
         try:
             header = next(reader)
         except StopIteration:
             raise IngestError(f"{os.fspath(path)}: empty file") from None
         dim_at, measure_at = _resolve_columns(header, dims, measure)
-        width = len(header)
-        coord_rows: list[list[str]] = []
-        value_rows: list[str] = []
-        for number, row in enumerate(reader, start=2):
-            if not row:
-                continue  # blank trailing lines are harmless
+        layout = _CsvLayout(
+            os.fspath(path), header, dim_at, measure_at, np.dtype(dtype)
+        )
+        line = reader.line_num + 1
+        block_dtype = layout.block_dtype()
+        if block_dtype is None:
+            yield from _reader_batches(handle, line, layout, batch_rows)
+            return
+        while lines := list(itertools.islice(handle, batch_rows)):
+            if '"' in "".join(lines):
+                yield from _reader_batches(
+                    itertools.chain(lines, handle), line, layout, batch_rows
+                )
+                return
+            table = _load_block(lines, block_dtype)
+            if table is None:
+                yield from _reader_batches(lines, line, layout, batch_rows)
+            elif len(table):
+                coords = np.stack([table[f"f{i}"] for i in dim_at], axis=1)
+                values = np.ascontiguousarray(table[f"f{measure_at}"])
+                yield RecordBatch(coords, values)
+            line += len(lines)
+
+
+def _load_block(lines: list[str], block_dtype: np.dtype) -> np.ndarray | None:
+    """One ``np.loadtxt`` call over a block of lines, or ``None`` when
+    the block must take the ``csv.reader`` path."""
+    if all(text in _BLANK_LINES for text in lines):
+        return np.empty(0, dtype=block_dtype)  # loadtxt warns on no data
+    try:
+        with warnings.catch_warnings():
+            # numpy 1.x parses "3.5" or "1e19" into an integer field via
+            # float, warning only; as an error the block goes to the
+            # csv.reader path, which rejects it.
+            warnings.simplefilter("error", DeprecationWarning)
+            table = np.loadtxt(
+                lines,
+                dtype=block_dtype,
+                delimiter=",",
+                comments=None,
+                quotechar=None,
+                ndmin=1,
+            )
+    except (ValueError, DeprecationWarning):
+        return None
+    if len(table) == len(lines):
+        return table
+    # Only blank lines may go missing: loadtxt skipping a line csv.reader
+    # reads as a row would accept what that path rejects.
+    blank = sum(map(lines.count, _BLANK_LINES))
+    return table if len(table) == len(lines) - blank else None
+
+
+def _reader_batches(
+    lines: Iterable[str],
+    first_line: int,
+    layout: _CsvLayout,
+    batch_rows: int,
+) -> Iterator[RecordBatch]:
+    """The ``csv.reader`` path over ``lines``, the first of which is
+    line ``first_line`` of the file; one batch per ``batch_rows`` lines
+    (a quoted field spanning a boundary extends its batch)."""
+    reader = csv.reader(lines)
+    width = len(layout.header)
+    coord_rows: list[list[str]] = []
+    value_rows: list[str] = []
+    row_lines: list[int] = []
+    consumed = batch_start = 0
+    for row in reader:
+        number = first_line + consumed  # the record's first line
+        consumed = reader.line_num
+        if row:  # blank lines are harmless
             if len(row) != width:
                 raise IngestError(
-                    f"{os.fspath(path)}:{number}: expected {width} "
+                    f"{layout.path}:{number}: expected {width} "
                     f"fields, got {len(row)}"
                 )
-            coord_rows.append([row[i] for i in dim_at])
-            value_rows.append(row[measure_at])
-            if len(value_rows) >= batch_rows:
-                yield _parse_batch(
-                    coord_rows, value_rows, dtype, path, number
-                )
-                coord_rows = []
-                value_rows = []
-        if value_rows:
-            yield _parse_batch(coord_rows, value_rows, dtype, path, number)
+            coord_rows.append([row[i] for i in layout.dim_at])
+            value_rows.append(row[layout.measure_at])
+            row_lines.append(number)
+        if consumed - batch_start >= batch_rows:
+            if value_rows:
+                yield _parse_batch(coord_rows, value_rows, row_lines, layout)
+            coord_rows, value_rows, row_lines = [], [], []
+            batch_start = consumed
+    if value_rows:
+        yield _parse_batch(coord_rows, value_rows, row_lines, layout)
 
 
 def _parse_batch(
     coord_rows: list[list[str]],
     value_rows: list[str],
-    dtype: object,
-    path: str | os.PathLike[str],
-    last_row: int,
+    row_lines: list[int],
+    layout: _CsvLayout,
 ) -> RecordBatch:
     """Convert accumulated string rows to arrays with clear errors."""
     try:
         coords = np.array(coord_rows, dtype=np.int64)
+        values = np.array(value_rows, dtype=layout.dtype)
     except (ValueError, OverflowError) as exc:
-        raise IngestError(
-            f"{os.fspath(path)} (rows ending {last_row}): "
-            f"non-integer coordinate: {exc}"
-        ) from None
-    try:
-        values = np.array(value_rows, dtype=np.dtype(dtype))
-    except (ValueError, OverflowError) as exc:
-        raise IngestError(
-            f"{os.fspath(path)} (rows ending {last_row}): "
-            f"measure does not parse as {np.dtype(dtype)}: {exc}"
+        raise _bad_field_error(
+            coord_rows, value_rows, row_lines, layout, exc
         ) from None
     return RecordBatch(coords, values)
+
+
+def _bad_field_error(
+    coord_rows: list[list[str]],
+    value_rows: list[str],
+    row_lines: list[int],
+    layout: _CsvLayout,
+    exc: Exception,
+) -> IngestError:
+    """Convert row by row to name the first bad field and its line."""
+    for coords, value, number in zip(coord_rows, value_rows, row_lines):
+        for at, field in zip(layout.dim_at, coords):
+            if not _converts(field, np.dtype(np.int64)):
+                return IngestError(
+                    f"{layout.path}:{number}: non-integer coordinate "
+                    f"{field!r} in column {layout.header[at]!r}"
+                )
+        if not _converts(value, layout.dtype):
+            return IngestError(
+                f"{layout.path}:{number}: measure {value!r} in column "
+                f"{layout.header[layout.measure_at]!r} does not parse as "
+                f"{layout.dtype}"
+            )
+    return IngestError(f"{layout.path}:{row_lines[0]}-{row_lines[-1]}: {exc}")
+
+
+def _converts(field: str, dtype: np.dtype) -> bool:
+    try:
+        np.array([field], dtype=dtype)
+    except (ValueError, OverflowError):
+        return False
+    return True
 
 
 # ----------------------------------------------------------------------

@@ -122,6 +122,29 @@ class TestCsvSource:
         batches = list(iter_csv_batches(facts_csv, batch_rows=3))
         assert [b.rows for b in batches] == [3, 1]
 
+    def test_utf8_bom_is_not_part_of_the_header(self, tmp_path):
+        path = tmp_path / "excel.csv"
+        path.write_bytes(b"\xef\xbb\xbfd0,d1,v\r\n1,2,3\r\n")
+        (batch,) = iter_csv_batches(path, dims=["d0", "d1"], measure="v")
+        assert batch.coords.tolist() == [[1, 2]]
+        assert batch.values.tolist() == [3]
+
+    def test_bad_field_names_its_line_in_a_later_block(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("d0,d1,v\n1,2,3\n4,5,6\n7,8,9\n1,x,3\n")
+        with pytest.raises(
+            IngestError,
+            match=r"bad\.csv:5: non-integer coordinate 'x' in column 'd1'",
+        ):
+            list(iter_csv_batches(path, batch_rows=2))
+        path.write_text("d0,d1,v\n1,2,3\n4,5,6\n7,8,9.5\n1,2,3\n")
+        with pytest.raises(
+            IngestError,
+            match=r"bad\.csv:4: measure '9\.5' in column 'v' does not "
+            r"parse as int64",
+        ):
+            list(iter_csv_batches(path, batch_rows=2))
+
 
 class TestOpenBatches:
     def test_suffix_dispatch_csv(self, facts_csv):

@@ -21,6 +21,7 @@ from repro.ingest import (
     batches_from_records,
     in_memory_reference,
     ingest,
+    open_batches,
     plan_cuboids,
 )
 from repro.optimizer.materialize import MaterializedCuboidSet
@@ -134,6 +135,40 @@ class TestStreamedEqualsInMemory:
         assert result.cuboid_set.range_sum(query) == reference.range_sum(
             query
         )
+
+    @pytest.mark.parametrize("backend_kind", ["memory", "memmap"])
+    def test_csv_mixing_parse_paths_bit_identical(
+        self, backend_kind, cube, tmp_path
+    ):
+        """A CSV whose early blocks parse with np.loadtxt, one block
+        falls back (``1_0`` is valid for np.array, not for loadtxt) and a
+        quoted row sends the rest through csv.reader builds exactly the
+        in-memory reference."""
+        rows = [[*cell, str(cube[cell])] for cell in np.ndindex(cube.shape)]
+        rows[200][3] += "_0"
+        rows[-100][0] = f'"{rows[-100][0]}"'
+        csv_cube = cube.copy()
+        csv_cube.flat[200] *= 10
+        path = tmp_path / "facts.csv"
+        path.write_text(
+            "d0,d1,d2,v\n" + "".join(",".join(map(str, r)) + "\n" for r in rows)
+        )
+        keys = [(0,), (0, 1), (1, 2), (0, 1, 2)]
+        plan = IngestPlan(
+            shape=cube.shape, cuboids=plan_cuboids(cube.shape, keys, 4)
+        )
+        backend = make_backend(backend_kind, tmp_path)
+        result = ingest(open_batches(path, batch_rows=64), plan, backend)
+        reference = in_memory_reference(batches_from_cube(csv_cube), plan)
+        assert result.rows == cube.size
+        assert np.array_equal(np.asarray(result.cuboid_set.base), csv_cube)
+        for got, want in zip(result.cuboid_set.cuboids, reference.cuboids):
+            assert got.key == want.key
+            for key, value in want.structure.state_dict().items():
+                if isinstance(value, np.ndarray):
+                    mine = np.asarray(got.structure.state_dict()[key])
+                    assert value.dtype == mine.dtype, (got.key, key)
+                    assert np.array_equal(value, mine), (got.key, key)
 
     def test_duplicate_records_accumulate(self):
         coords = np.array([[1, 1], [1, 1], [0, 2]], dtype=np.int64)
