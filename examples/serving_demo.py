@@ -95,7 +95,8 @@ async def run_dashboard(sales: np.ndarray) -> None:
                 f"(tier: {covered['tier']})"
             )
 
-            # 2. Slice and roll-up sugar over the same engine.
+            # 2. A slice (sugar over /query) and a roll-up (one reduce
+            #    of the smallest cuboid or cube that holds it).
             sliced = await client.slice("sales", {1: 3})
             assert sliced["value"] == int(sales[:, 3, :].sum())
             print(f"region 3 all-time total: {sliced['value']}")

@@ -180,6 +180,20 @@ class MaterializedCuboidSet:
                 best = (cost, cuboid)
         return None if best is None else best[1]
 
+    def covering(self, dims: Sequence[int]) -> MaterializedCuboid | None:
+        """The smallest materialized cuboid whose key covers ``dims``.
+
+        A SUM group-by is distributive, so any ancestor's group-by
+        array reduces to the ``dims`` roll-up; the fewest cells is the
+        cheapest reduce.
+        """
+        key = tuple(dims)
+        return min(
+            (c for c in self.cuboids if is_ancestor(c.key, key)),
+            key=lambda c: c.structure.source.size,
+            default=None,
+        )
+
     def _query_surface(self, query: RangeQuery) -> float:
         lengths = [
             float(spec.length(n))

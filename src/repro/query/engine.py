@@ -39,7 +39,7 @@ DEFAULT_MAX_INDEX = IndexSpec.of("range_max_tree", fanout=4)
 AGGREGATES = ("sum", "count", "max", "min")
 
 
-def _py_scalar(value: object) -> object:
+def py_scalar(value: object) -> object:
     """Convert numpy scalars (and 0-d arrays) to plain Python scalars.
 
     Engine aggregate methods promise plain ``int`` / ``float`` / ``bool``
@@ -51,6 +51,26 @@ def _py_scalar(value: object) -> object:
     if isinstance(value, np.ndarray) and value.ndim == 0:
         return value.item()
     return value
+
+
+def divide_averages(totals: object, denominators: object) -> np.ndarray:
+    """Element-wise AVERAGE from a (sum, count) pair of arrays.
+
+    Each element is ``float(total) / float(count)``, exactly as the
+    scalar :meth:`RangeQueryEngine.average` divides.  When any count is
+    zero the result is instead an object array whose zero-count entries
+    are ``None``.
+    """
+    counts = np.asarray(denominators)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = np.asarray(totals).astype(np.float64) / counts.astype(
+            np.float64
+        )
+    zero = counts == 0
+    if np.any(zero):
+        out = out.astype(object)
+        out[zero] = None
+    return out
 
 
 def _maxtree_source(cube: np.ndarray) -> np.ndarray:
@@ -213,7 +233,7 @@ class RangeQueryEngine:
         """Range-sum of the measure (a plain Python scalar)."""
         route = self._routes["sum"]
         assert route is not None
-        return _py_scalar(route.query(self._resolve(query), counter))
+        return py_scalar(route.query(self._resolve(query), counter))
 
     def count(
         self,
@@ -225,7 +245,7 @@ class RangeQueryEngine:
         route = self._routes["count"]
         if route is None:
             return box.volume
-        return _py_scalar(route.query(box, counter))
+        return py_scalar(route.query(box, counter))
 
     def average(
         self,
@@ -260,7 +280,7 @@ class RangeQueryEngine:
         if hit is None:
             raise ValueError(f"no non-empty cell in {box}")
         index, value = hit
-        return index, _py_scalar(value)
+        return index, py_scalar(value)
 
     def min(
         self,
@@ -281,7 +301,7 @@ class RangeQueryEngine:
         if hit is None:
             raise ValueError(f"no non-empty cell in {box}")
         index, negated = hit
-        return index, _py_scalar(_negated_delta(negated))
+        return index, py_scalar(_negated_delta(negated))
 
     # ------------------------------------------------------------------
     # Batch query execution (the vectorized path of repro.query.batch)
@@ -383,19 +403,7 @@ class RangeQueryEngine:
             denominators = np.prod(np.maximum(hi - lo + 1, 0), axis=1)
         else:
             denominators = count_route.query_many(lo, hi, counter)
-        zero = np.asarray(denominators) == 0
-        if np.any(zero):
-            out = np.empty(len(zero), dtype=object)
-            for k in range(len(zero)):
-                out[k] = (
-                    None
-                    if zero[k]
-                    else float(totals[k]) / float(denominators[k])
-                )
-            return out
-        return totals.astype(np.float64) / np.asarray(
-            denominators, dtype=np.float64
-        )
+        return divide_averages(totals, denominators)
 
     def max_many(
         self,
@@ -525,7 +533,7 @@ class RangeQueryEngine:
         values = route.query_many(lows, highs, counter)
         return iter(
             [
-                (int(start), _py_scalar(value))
+                (int(start), py_scalar(value))
                 for start, value in zip(lows[:, axis], values)
             ]
         )

@@ -25,14 +25,19 @@ recorded via :meth:`TieredRouter.record` and surfaced under ``/stats``.
 
 from __future__ import annotations
 
+import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro._util import Box, check_query_box
+from repro._util import Box
+from repro.query.engine import divide_averages, py_scalar
 from repro.query.naive import (
+    naive_group_by,
     naive_max_index,
+    naive_min_index,
     naive_range_sum,
 )
 from repro.query.ranges import RangeQuery
@@ -46,15 +51,6 @@ TIERS = ("materialized", "indexed", "fallback")
 
 #: Operators the scalar surface serves.
 SCALAR_OPS = ("sum", "count", "average", "max", "min")
-
-
-def _scalar(value: object) -> object:
-    """numpy scalar → plain Python scalar (mirrors the engine contract)."""
-    if isinstance(value, np.generic):
-        return value.item()
-    if isinstance(value, np.ndarray) and value.ndim == 0:
-        return value.item()
-    return value
 
 
 @dataclass
@@ -111,16 +107,7 @@ class TieredRouter:
             and cube.cuboids.route(query) is not None
         ):
             return "materialized"
-        if cube.engine is not None:
-            if op in ("sum", "count", "average"):
-                return "indexed"
-            if cube.engine.route("max") is not None:
-                return "indexed"
-        if cube.fallback:
-            return "fallback"
-        raise Unsupported(
-            f"cube {cube.name!r} has no tier for operator {op!r}"
-        )
+        return self._unmaterialized_tier(cube, op)
 
     def choose_batch(self, cube: ServedCube, op: str) -> str:
         """The tier a ``K``-row batch of ``op`` executes on.
@@ -129,6 +116,10 @@ class TieredRouter:
         surface); they run on the engine's vectorized ``*_many`` path
         when available, else row-by-row on the fallback scan.
         """
+        return self._unmaterialized_tier(cube, op)
+
+    def _unmaterialized_tier(self, cube: ServedCube, op: str) -> str:
+        """Indexed when the engine covers ``op``, else the fallback."""
         if cube.engine is not None:
             if op in ("sum", "count", "average"):
                 return "indexed"
@@ -139,6 +130,21 @@ class TieredRouter:
         raise Unsupported(
             f"cube {cube.name!r} has no tier for operator {op!r}"
         )
+
+    def choose_rollup(
+        self, cube: ServedCube, op: str, dims: Sequence[int]
+    ) -> tuple[str, np.ndarray, Sequence[int]]:
+        """A roll-up's tier, the array it reduces, and ``dims`` as axes
+        of that array: an exact-dtype SUM reads the smallest covering
+        cuboid (SUM is distributive); any other roll-up reads the base
+        cube and is labelled (or refused) as a batch of ``op`` is."""
+        exact = cube.base.dtype.kind in "biu"
+        if op == "sum" and exact and cube.cuboids is not None:
+            cuboid = cube.cuboids.covering(dims)
+            if cuboid is not None:
+                axes = [cuboid.key.index(d) for d in dims]
+                return "materialized", cuboid.structure.source, axes
+        return self._unmaterialized_tier(cube, op), cube.base, dims
 
     # ------------------------------------------------------------------
     # Execution (synchronous — the service decides where this runs)
@@ -160,7 +166,7 @@ class TieredRouter:
         """
         if tier == "materialized":
             assert query is not None and cube.cuboids is not None
-            return _scalar(cube.cuboids.range_sum(query, cube.counter))
+            return py_scalar(cube.cuboids.range_sum(query, cube.counter))
         if tier == "indexed":
             engine = cube.engine
             assert engine is not None
@@ -178,36 +184,23 @@ class TieredRouter:
         base = cube.base
         counter = cube.counter
         if op == "sum":
-            return _scalar(naive_range_sum(base, box, counter))
+            return py_scalar(naive_range_sum(base, box, counter))
         if op == "count":
             if cube.counts is not None:
-                return _scalar(naive_range_sum(cube.counts, box, counter))
+                return py_scalar(naive_range_sum(cube.counts, box, counter))
             return box.volume
         if op == "average":
-            total = _scalar(naive_range_sum(base, box, counter))
-            if cube.counts is not None:
-                denominator = _scalar(
-                    naive_range_sum(cube.counts, box, counter)
-                )
-            else:
-                denominator = box.volume
+            total = py_scalar(naive_range_sum(base, box, counter))
+            denominator = self._run_fallback_scalar(cube, "count", box)
             if denominator == 0:
                 return None
             return float(total) / float(denominator)
         if op == "max":
             index = naive_max_index(base, box, counter)
-            return index, _scalar(base[index])
+            return index, py_scalar(base[index])
         if op == "min":
-            check_query_box(box, base.shape, allow_empty=False)
-            counter.count_cube(box.volume)
-            window = base[box.slices()]
-            local = np.unravel_index(
-                int(np.argmin(window)), window.shape
-            )
-            index = tuple(
-                int(l + o) for l, o in zip(local, box.lo)
-            )
-            return index, _scalar(base[index])
+            index = naive_min_index(base, box, counter)
+            return index, py_scalar(base[index])
         raise Unsupported(f"unknown operator {op!r}")
 
     def run_batch(
@@ -251,6 +244,29 @@ class TieredRouter:
             np.asarray(indices, dtype=np.int64).reshape(len(rows), -1),
             np.asarray(values),
         )
+
+    def run_rollup(
+        self,
+        cube: ServedCube,
+        op: str,
+        array: np.ndarray,
+        axes: Sequence[int],
+    ) -> np.ndarray:
+        """The ``axes``-ordered roll-up grid: SUM reduces ``array``,
+        COUNT the counts cube (else it is the rolled-up volume), and
+        AVERAGE divides the two grids."""
+        if op == "sum":
+            return naive_group_by(array, axes, cube.counter)
+        if cube.counts is not None:
+            counts = naive_group_by(cube.counts, axes, cube.counter)
+        else:
+            rolled = [n for j, n in enumerate(cube.shape) if j not in axes]
+            grid = [cube.shape[d] for d in axes]
+            counts = np.full(grid, math.prod(rolled), dtype=np.int64)
+        if op == "count":
+            return counts
+        totals = naive_group_by(array, axes, cube.counter)
+        return divide_averages(totals, counts)
 
     # ------------------------------------------------------------------
     # Latency accounting

@@ -37,7 +37,7 @@ from __future__ import annotations
 import asyncio
 import os
 import time
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any
@@ -423,13 +423,8 @@ class QueryService:
         if not isinstance(fixed, dict):
             raise BadRequest("'fixed' must be a {dim: rank} object")
         ranges: list[object] = [None] * len(cube.shape)
-        for raw_dim, rank in fixed.items():
-            dim = _parse_int(raw_dim, "slice dimension")
-            if not 0 <= dim < len(cube.shape):
-                raise BadRequest(
-                    f"slice dimension {dim} out of range for "
-                    f"{len(cube.shape)}-d cube"
-                )
+        dims = _parse_dims(fixed, len(cube.shape), "slice dimension")
+        for dim, rank in zip(dims, fixed.values()):
             ranges[dim] = _parse_int(rank, "slice rank")
         derived = {
             "cube": cube.name,
@@ -442,32 +437,24 @@ class QueryService:
         """Group-by over kept dimensions (the data cube's roll-up view).
 
         ``{cube, dims, op}`` answers one aggregate per coordinate of the
-        kept-dimension grid — executed as a single batch over the
-        engine's vectorized path.
+        kept-dimension grid (flattened, in ``dims`` order) with one axis
+        reduce of the smallest array holding it — a covering cuboid or
+        the base cube (see :meth:`TieredRouter.choose_rollup`).
         """
         cube = self._cube(payload.get("cube"))
         op = self._op(payload, ("sum", "count", "average"))
         raw_dims = payload.get("dims")
         if not isinstance(raw_dims, list) or not raw_dims:
             raise BadRequest("'dims' must be a non-empty list")
-        dims = [_parse_int(d, "rollup dimension") for d in raw_dims]
-        if len(set(dims)) != len(dims):
-            raise BadRequest(f"duplicate rollup dimensions in {dims}")
-        for dim in dims:
-            if not 0 <= dim < len(cube.shape):
-                raise BadRequest(
-                    f"rollup dimension {dim} out of range for "
-                    f"{len(cube.shape)}-d cube"
-                )
-        grid_shape = tuple(cube.shape[d] for d in dims)
-        cells = int(np.prod(grid_shape))
+        dims = _parse_dims(raw_dims, len(cube.shape), "rollup dimension")
+        cells = int(np.prod([cube.shape[d] for d in dims]))
         if cells > self.config.max_rollup_cells:
             raise BadRequest(
                 f"rollup grid of {cells} cells exceeds the cap "
                 f"{self.config.max_rollup_cells}"
             )
         return await self._with_admission(
-            lambda: self._answer_rollup(cube, op, dims, grid_shape)
+            lambda: self._answer_rollup(cube, op, dims)
         )
 
     async def update(self, payload: dict) -> dict:
@@ -821,43 +808,28 @@ class QueryService:
         cube: ServedCube,
         op: str,
         dims: Sequence[int],
-        grid_shape: tuple[int, ...],
     ) -> dict:
         started = time.perf_counter()
-        ndim = len(cube.shape)
-        coords = np.stack(
-            np.meshgrid(
-                *[np.arange(cube.shape[d]) for d in dims],
-                indexing="ij",
-            ),
-            axis=-1,
-        ).reshape(-1, len(dims))
-        cells = len(coords)
-        lows = np.zeros((cells, ndim), dtype=np.int64)
-        highs = np.broadcast_to(
-            np.asarray(cube.shape, dtype=np.int64) - 1, (cells, ndim)
-        ).copy()
-        lows[:, dims] = coords
-        highs[:, dims] = coords
         generation = cube.generation
-        tier = self.router.choose_batch(cube, op)
-        work = self._batch_work(tier, lows, highs)
-        values = await self._run_read(
-            cube,
-            lambda: self.router.run_batch(cube, tier, op, lows, highs),
-            work,
-        )
+        # Choose under the read lock: an update or a hot swap cannot
+        # then hand this roll-up a superseded cuboid set.
+        async with cube.rwlock.read_locked():
+            tier, array, axes = self.router.choose_rollup(cube, op, dims)
+            values = await self._run(
+                lambda: self.router.run_rollup(cube, op, array, axes),
+                array.size,
+            )
         self.router.record(
             cube.name, tier, time.perf_counter() - started
         )
-        cube.queries += cells
+        cube.queries += values.size
         return {
             "cube": cube.name,
             "op": op,
             "tier": tier,
             "dims": list(dims),
-            "shape": list(grid_shape),
-            "values": np.asarray(values).tolist(),
+            "shape": list(values.shape),
+            "values": values.reshape(-1).tolist(),
             "generation": generation,
         }
 
@@ -1070,6 +1042,17 @@ def _parse_int(value: object, what: str) -> int:
         raise BadRequest(
             f"{what} must be an integer, got {value!r}"
         ) from exc
+
+
+def _parse_dims(raw: Iterable[object], ndim: int, what: str) -> list[int]:
+    """Distinct in-range dimension numbers (``"01"`` and ``1`` collide)."""
+    dims = [_parse_int(d, what) for d in raw]
+    if len(set(dims)) != len(dims):
+        raise BadRequest(f"duplicate {what}s in {dims}")
+    for dim in dims:
+        if not 0 <= dim < ndim:
+            raise BadRequest(f"{what} {dim} out of range for {ndim}-d cube")
+    return dims
 
 
 def _parse_number(

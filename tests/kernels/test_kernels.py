@@ -238,7 +238,7 @@ class TestScanMemoryCap:
         cube = make_cube(shape, rng)
         index = create_index("blocked_prefix_sum", cube, block_size=8)
         if batch == "rollup":
-            # What /rollup over dims (0, 1) sends: 16,384 thin boxes.
+            # A group-by over dims (0, 1) spelled as 16,384 thin boxes.
             ranks = np.indices(shape[:2]).reshape(2, -1).T
             lows = np.zeros((len(ranks), 3), dtype=np.int64)
             highs = np.full((len(ranks), 3), shape[2] - 1, dtype=np.int64)

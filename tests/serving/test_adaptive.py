@@ -301,6 +301,36 @@ class TestEndpoints:
 
         asyncio.run(main())
 
+    def test_rollup_after_advise_and_swap(self) -> None:
+        """The swapped-in cuboids answer roll-ups, updates included."""
+
+        async def main() -> None:
+            service = make_service()
+            shadow = service.cubes["c"].base.copy()
+            await drive_hot_traffic(service)
+            advice = await service.advise({"cube": "c"})
+            assert advice["delta"]["should_swap"]
+            await AdaptiveController(service).step("c")
+            keys = [set(m.key) for m in service.cubes["c"].plan]
+            assert keys
+            update = {"index": [3, 5, 1], "delta": 7}
+            await service.update({"cube": "c", "updates": [update]})
+            shadow[3, 5, 1] += 7
+            for dims in ([0], [1], [2], [0, 1], [1, 0], [0, 2], [1, 2]):
+                got = await service.rollup({"cube": "c", "dims": dims})
+                rest = tuple(j for j in range(3) if j not in dims)
+                want = np.transpose(
+                    shadow.sum(axis=rest), np.argsort(np.argsort(dims))
+                )
+                assert got["values"] == want.reshape(-1).tolist(), dims
+                covered = any(set(dims) <= key for key in keys)
+                assert got["tier"] == (
+                    "materialized" if covered else "indexed"
+                ), dims
+            await service.close()
+
+        asyncio.run(main())
+
     def test_design_view_reports_swap_history(self) -> None:
         import json
 

@@ -14,6 +14,7 @@ engine's answers exactly.
 from __future__ import annotations
 
 import asyncio
+import itertools
 
 import numpy as np
 import pytest
@@ -106,6 +107,40 @@ async def _compare_witnesses(service, engine, boxes):
             assert served_cell == value  # any argmax/argmin witness
 
 
+def _kbox_rollup(shape, dims) -> tuple[np.ndarray, np.ndarray]:
+    """The roll-up as one full-extent box per kept coordinate."""
+    ranks = np.indices([shape[d] for d in dims]).reshape(len(dims), -1).T
+    lows = np.zeros((len(ranks), len(shape)), dtype=np.int64)
+    highs = np.tile(np.asarray(shape, dtype=np.int64) - 1, (len(ranks), 1))
+    lows[:, dims] = highs[:, dims] = ranks
+    return lows, highs
+
+
+async def _compare_rollups(service, engine, shadow):
+    """Every non-empty dims subset, against a numpy reduce of ``shadow``
+    (a copy the service never sees) and, on exact dtypes, against the
+    engine's K-box batch over the same grid."""
+    ndim = shadow.ndim
+    exact = shadow.dtype.kind in "biu"
+    reduce_dtype = {"u": np.uint64, "f": np.float64}.get(
+        shadow.dtype.kind, np.int64
+    )
+    for size in range(1, ndim + 1):
+        for dims in itertools.combinations(range(ndim), size):
+            rest = tuple(j for j in range(ndim) if j not in dims)
+            want = shadow.sum(axis=rest, dtype=reduce_dtype)
+            for op in ("sum", "count", "average") if exact else ("sum",):
+                got = await service.rollup(
+                    {"cube": "t", "op": op, "dims": list(dims)}
+                )
+                if op == "sum":
+                    assert got["values"] == want.reshape(-1).tolist(), dims
+                if exact:
+                    lows, highs = _kbox_rollup(shadow.shape, dims)
+                    kbox = getattr(engine, f"{op}_many")(lows, highs)
+                    assert got["values"] == kbox.tolist(), (op, dims)
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 def test_served_equals_engine(seed, tmp_path) -> None:
     scenario = scenario_for("prefix_sum", seed)
@@ -115,6 +150,7 @@ def test_served_equals_engine(seed, tmp_path) -> None:
         MemmapBackend(tmp_path) if scenario.backend == "memmap" else None
     )
     engine = RangeQueryEngine(source.copy())
+    shadow = source.copy()
     service = QueryService(
         ServeConfig(coalesce_window_s=0.002, coalesce_max_batch=64)
     )
@@ -131,6 +167,7 @@ def test_served_equals_engine(seed, tmp_path) -> None:
         # be identical.
         await _compare_scalars(service, engine, boxes, generation=0)
         assert service.cache.stats()["hits"] > 0
+        await _compare_rollups(service, engine, shadow)
 
         if _updatable(source.dtype):
             update_rng = np.random.default_rng([UPDATE_TAG, seed])
@@ -149,9 +186,12 @@ def test_served_equals_engine(seed, tmp_path) -> None:
                     for u in updates
                 ]
             )
+            for u in updates:
+                shadow[tuple(u["index"])] += u["delta"]
             # Post-update: stale cache entries must not leak through.
             await _compare_scalars(service, engine, boxes, generation=1)
             await _compare_witnesses(service, engine, boxes)
+            await _compare_rollups(service, engine, shadow)
 
     asyncio.run(drive())
     # The concurrent asks really did coalesce into shared gathers.

@@ -7,14 +7,51 @@ import asyncio
 import numpy as np
 import pytest
 
+from repro.optimizer.cuboid_selection import Materialization
 from repro.query import RangeQueryEngine, WorkloadObserver
 from repro.query.ranges import SpecKind
 from repro.serving.errors import (
     BadRequest,
     CubeInconsistent,
     UnknownResource,
+    Unsupported,
 )
 from repro.serving.service import QueryService, ServeConfig
+
+ROLLUP_SHAPE = (9, 8, 7)
+
+#: Roll-up cubes per dtype; uint64 cells sit above 2^53, where a float64
+#: detour would round.
+ROLLUP_DTYPES = {
+    "int64": lambda rng: rng.integers(-25, 26, ROLLUP_SHAPE),
+    "int32": lambda rng: rng.integers(-25, 26, ROLLUP_SHAPE).astype(np.int32),
+    "bool": lambda rng: rng.integers(0, 2, ROLLUP_SHAPE).astype(bool),
+    "uint64": lambda rng: (
+        rng.integers(0, 1 << 20, ROLLUP_SHAPE) + (1 << 53)
+    ).astype(np.uint64),
+    "float32": lambda rng: rng.normal(size=ROLLUP_SHAPE).astype(np.float32),
+}
+
+_PLAN = [Materialization((0, 1), 1, 0.0), Materialization((1, 2), 1, 0.0)]
+
+#: The default §3 engine; a blocked engine beside a cuboid plan; and a
+#: cube served by its cuboids alone.
+ROLLUP_REGISTRATIONS = {
+    "prefix": {},
+    "blocked_plan": {
+        "sum_index": "blocked_prefix_sum",
+        "sum_params": {"block_size": 8},
+        "plan": _PLAN,
+    },
+    "cuboid_only": {"engine": None, "fallback": False, "plan": _PLAN},
+}
+
+#: Exact cuboid key, ancestor reduce, base reduce, and unsorted orders.
+ROLLUP_DIMS = [[0, 1], [1], [0, 2], [1, 0], [2, 0]]
+
+
+def _exact(cells: np.ndarray) -> type:
+    return np.uint64 if cells.dtype.kind == "u" else np.int64
 
 
 @pytest.fixture
@@ -151,17 +188,88 @@ class TestBatchSliceRollup:
     def test_slice_validation(self, service) -> None:
         with pytest.raises(BadRequest):
             run(service.slice({"cube": "sales", "fixed": {"9": 0}}))
+        with pytest.raises(BadRequest, match="duplicate"):
+            run(
+                service.slice(
+                    {"cube": "sales", "fixed": {"1": 0, "01": 2}}
+                )
+            )
         with pytest.raises(BadRequest):
             run(service.slice({"cube": "sales", "fixed": "nope"}))
 
-    def test_rollup_matches_numpy_groupby(self, service, data) -> None:
-        result = run(service.rollup({"cube": "sales", "dims": [1]}))
-        assert result["shape"] == [8]
-        assert result["values"] == data.sum(axis=(0, 2)).tolist()
-        two = run(service.rollup({"cube": "sales", "dims": [0, 2]}))
-        assert two["shape"] == [9, 7]
-        grid = np.asarray(two["values"]).reshape(9, 7)
-        np.testing.assert_array_equal(grid, data.sum(axis=1))
+    @pytest.mark.parametrize(
+        "dims", ROLLUP_DIMS, ids=lambda dims: "dims" + "".join(map(str, dims))
+    )
+    @pytest.mark.parametrize("dtype", sorted(ROLLUP_DTYPES))
+    @pytest.mark.parametrize("registration", sorted(ROLLUP_REGISTRATIONS))
+    def test_rollup_matches_numpy_groupby(
+        self, registration, dtype, dims
+    ) -> None:
+        cells = ROLLUP_DTYPES[dtype](np.random.default_rng(0x6B0))
+        counts = np.random.default_rng(0xC0).integers(0, 3, cells.shape)
+        counts[0] = 0  # whole groups with a zero count
+        service = QueryService(ServeConfig(coalesce_window_s=0.0))
+        for name, held in (("plain", None), ("counted", counts)):
+            service.register_cube(
+                name, cells, counts=held, **ROLLUP_REGISTRATIONS[registration]
+            )
+        rest = tuple(j for j in range(cells.ndim) if j not in dims)
+        order = np.argsort(np.argsort(dims))
+
+        def grid(array: np.ndarray, reduce_dtype) -> list:
+            reduced = array.sum(axis=rest, dtype=reduce_dtype)
+            return np.transpose(reduced, order).reshape(-1).tolist()
+
+        float_cube = cells.dtype.kind == "f"
+        totals = grid(cells, np.float64 if float_cube else _exact(cells))
+        volume = int(np.prod([cells.shape[j] for j in rest]))
+        expected = {("plain", "sum"): totals, ("counted", "sum"): totals}
+        for name, count_grid in (
+            ("plain", [volume] * len(totals)),
+            ("counted", grid(counts, np.int64)),
+        ):
+            expected[name, "count"] = count_grid
+            expected[name, "average"] = [
+                None if c == 0 else float(t) / float(c)
+                for t, c in zip(totals, count_grid)
+            ]
+        # Exact-dtype SUM reads the smallest covering cuboid of the
+        # (0, 1) / (1, 2) plan; everything else reduces the base.
+        covered = registration != "prefix" and not float_cube and (
+            set(dims) <= {0, 1} or set(dims) <= {1, 2}
+        )
+        for (name, op), want in expected.items():
+            payload = {"cube": name, "dims": dims, "op": op}
+            if op == "sum" and covered:
+                tier = "materialized"
+            elif registration == "cuboid_only":
+                with pytest.raises(Unsupported):
+                    run(service.rollup(payload))
+                continue
+            else:
+                tier = "indexed"
+            result = run(service.rollup(payload))
+            assert result["tier"] == tier, (name, op)
+            assert result["shape"] == [cells.shape[d] for d in dims]
+            assert result["values"] == want, (name, op)
+
+    def test_rollup_counts_the_cells_it_reduces(self) -> None:
+        """§8 accounting: one read per cell of the array reduced."""
+        cells = np.arange(128 * 128 * 4, dtype=np.int64).reshape(128, 128, 4)
+        service = QueryService(ServeConfig(coalesce_window_s=0.0))
+        served = service.register_cube(
+            "c", cells, plan=[Materialization((0, 1), 8, 0.0)]
+        )
+
+        def charged(dims: list[int], op: str) -> int:
+            before = served.counter.snapshot()["cube_cells"]
+            run(service.rollup({"cube": "c", "dims": dims, "op": op}))
+            return served.counter.snapshot()["cube_cells"] - before
+
+        assert charged([0, 1], "sum") == 128 * 128  # cuboid (0, 1)
+        assert charged([0, 2], "sum") == cells.size  # the base
+        assert charged([0, 2], "count") == 0  # no counts cube
+        assert charged([0, 2], "average") == cells.size
 
     def test_rollup_average(self, service, data) -> None:
         result = run(
