@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from collections.abc import Sequence
+from typing import Any
 
 import numpy as np
 
@@ -73,6 +74,88 @@ def combine_duplicate_updates(
         else:
             merged[update.index] = update.delta
     return [PointUpdate(index, delta) for index, delta in merged.items()]
+
+
+class UnfitUpdate(ValueError):
+    """A batch :func:`stage_changes` rejects: raised before any write."""
+
+
+@dataclass(frozen=True)
+class CellChanges:
+    """An additive batch staged against its cube: per distinct cell, the
+    merged delta (``updates``, what §5 partitions), its flat index, and
+    its pre- and post-batch values in the cube's dtype (what §7 repairs
+    from — a shared cube no longer holds the old value once written)."""
+
+    updates: list[PointUpdate]
+    flat: np.ndarray
+    old: np.ndarray
+    new: np.ndarray
+
+
+def stage_changes(
+    cube: np.ndarray, updates: Sequence[PointUpdate], what: str = "update"
+) -> CellChanges:
+    """Merge an additive delta batch and read its cells once, unwritten.
+
+    On an integer or bool cube the batch is replayed in order in exact
+    arithmetic: every running cell value must stay integral and inside
+    the dtype, and on an integer cube every delta must itself be a
+    value of the dtype (an unsigned cell never takes a negative delta).
+    numpy would wrap or saturate such cells silently, while the wider
+    prefix arrays would not.
+
+    Raises:
+        UnfitUpdate: An index of the wrong arity or outside ``cube``, or
+            a delta those checks reject (``what`` names the batch).
+    """
+    from repro.kernels.segments import flatten_updates
+
+    merged = combine_duplicate_updates(updates)
+    try:
+        flat, _ = flatten_updates(merged, cube.shape)
+    except ValueError as exc:
+        raise UnfitUpdate(f"{what}s: {exc}") from exc
+    old = np.take(cube, flat)
+    kind = cube.dtype.kind
+    if kind not in "biu":
+        try:
+            deltas = np.asarray([u.delta for u in merged]).astype(cube.dtype)
+        except (TypeError, OverflowError) as exc:
+            raise UnfitUpdate(f"{what}s: {exc}") from exc
+        return CellChanges(merged, flat, old, old + deltas)
+    lo, hi = (0, 1) if kind == "b" else (
+        int(np.iinfo(cube.dtype).min), int(np.iinfo(cube.dtype).max)
+    )
+    running = {u.index: value for u, value in zip(merged, old.tolist())}
+    for position, update in enumerate(updates):
+        delta: Any = update.delta
+        if isinstance(delta, np.generic):
+            delta = delta.item()
+        value = running[update.index] + delta
+        integral = not isinstance(value, float) or value.is_integer()
+        if not (
+            integral and lo <= value <= hi and (kind == "b" or lo <= delta <= hi)
+        ):
+            raise UnfitUpdate(
+                f"{what} {position}: a {cube.dtype} cell at {update.index} "
+                f"cannot take delta {delta!r} (running value {value!r}; "
+                f"the dtype holds integers in [{lo}, {hi}])"
+            )
+        running[update.index] = int(value)
+    new = np.array([running[u.index] for u in merged], dtype=cube.dtype)
+    return CellChanges(merged, flat, old, new)
+
+
+def write_cells(cube: np.ndarray, flat: np.ndarray, values: np.ndarray) -> None:
+    """Write ``values`` into ``cube``'s flat (C-order) cells: an update's
+    one write of its cube, synced to disk when ``cube`` is memory-mapped."""
+    from repro.index.backend import _backing_memmap
+
+    np.put(cube, flat, values)
+    backing = _backing_memmap(cube)
+    if backing is not None:
+        backing.flush()
 
 
 def partition_updates(

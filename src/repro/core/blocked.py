@@ -162,7 +162,9 @@ class BlockedPrefixSumCube(RangeSumIndexMixin):
 
     Args:
         cube: The raw data cube ``A`` (retained — the blocked method needs
-            it to resolve boundary regions).
+            it to resolve boundary regions — through
+            ``backend.materialize``: a copy, or ``A`` itself under an
+            :class:`~repro.index.AdoptingBackend`).
         block_size: The blocking factor ``b >= 1``.  ``b = 1`` degenerates
             to the basic method of §3 (and is handled by the same code).
         operator: Invertible aggregation operator; default SUM.
@@ -492,12 +494,11 @@ class BlockedPrefixSumCube(RangeSumIndexMixin):
         return "\n".join(lines)
 
     def apply_updates(self, updates: Sequence[PointUpdate]) -> int:
-        """Apply a batch of point updates with the two-phase §5.2 scheme.
+        """Apply a batch of point updates to ``A`` and the blocked ``P``.
 
-        Phase 1 contracts the updates block-wise along ``X'``; phase 2
-        runs the batch-update recursion on the blocked prefix array.  The
-        raw cube is updated point-wise (it must stay exact for boundary
-        scans).  The whole batch is validated (arity, range, sign) before
+        The raw cube is updated point-wise (it must stay exact for
+        boundary scans), then :meth:`absorb` repairs the blocked prefix
+        array.  The whole batch is validated (arity, range, sign) before
         the first write, so a rejected batch leaves both arrays as they
         were.
 
@@ -505,16 +506,25 @@ class BlockedPrefixSumCube(RangeSumIndexMixin):
             The number of delta-uniform regions written into the blocked
             prefix array.
         """
-        from repro.core.batch_update import (
-            apply_batch_to_prefix,
-            contract_updates_to_blocks,
-        )
-
         flat, deltas = flatten_updates(updates, self.shape)
         if len(flat):
             resolve_kernel().scatter(
                 self.source.reshape(-1), flat, deltas, self.operator
             )
+        return self.absorb(updates)
+
+    def absorb(self, updates: Sequence[PointUpdate]) -> int:
+        """Bring the blocked ``P`` up to date with deltas ``A`` already
+        holds (§5.2: contract the updates block-wise along ``X'``, then
+        the batch-update recursion).  The whole update when ``A`` is
+        shared with (and written by) its owner.  Returns the number of
+        delta-uniform regions written."""
+        from repro.core.batch_update import (
+            apply_batch_to_prefix,
+            contract_updates_to_blocks,
+        )
+
+        flatten_updates(updates, self.shape)  # validate before writing
         contracted = contract_updates_to_blocks(
             updates, self.block_size, self.operator, self.prefix_dims
         )

@@ -28,7 +28,7 @@ index pointing at a live maximum cell.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 
 import numpy as np
 
@@ -95,30 +95,49 @@ def apply_max_updates(
     Returns:
         Statistics on the per-phase work (list lengths, rescans).
     """
-    stats = MaxUpdateStats()
-    merged = _dedupe_last_wins(assignments)
-    stats.assignments = len(merged)
-    if not merged or tree.height == 0:
-        for assignment in merged:
-            tree.source[assignment.index] = assignment.value
-        tree.backend.flush()
-        return stats
+    from repro.core.batch_update import write_cells
 
-    # Phase items: (child_node_index, old_pos, old_val, new_pos, new_val)
-    # at the phase's level; level-0 "nodes" are cells of A whose pos is
-    # their own flat index.
-    items: list[tuple[tuple[int, ...], int, object, int, object]] = []
+    merged = _dedupe_last_wins(assignments)
     for assignment in merged:
         if len(assignment.index) != tree.ndim:
             raise ValueError(
                 f"assignment index {assignment.index} has wrong "
                 f"dimensionality for a {tree.ndim}-d cube"
             )
-        flat = int(np.ravel_multi_index(assignment.index, tree.shape))
-        old_val = tree.source[assignment.index]
-        items.append(
-            (assignment.index, flat, old_val, flat, assignment.value)
+    flat = np.array(
+        [np.ravel_multi_index(a.index, tree.shape) for a in merged],
+        dtype=np.int64,
+    )
+    old = np.take(tree.source, flat)
+    new = np.array([a.value for a in merged], dtype=tree.source.dtype)
+    write_cells(tree.source, flat, new)
+    return repair_max_tree(tree, flat, old, new)
+
+
+def repair_max_tree(
+    tree: RangeMaxTree, flat: np.ndarray, old: np.ndarray, new: np.ndarray
+) -> MaxUpdateStats:
+    """Repair the levels after distinct cells of ``A`` (C-order ``flat``
+    indices) went from ``old`` to ``new`` values (§7), one phase per
+    level, bottom-up, under the tree's order (a ``"min"`` tree's
+    increase is a smaller value).  ``tree.source`` must already hold the
+    new values: a level-1 rescan reads it.  Returns the per-phase work
+    statistics."""
+    stats = MaxUpdateStats(assignments=len(flat))
+    if not len(flat) or tree.height == 0:
+        tree.backend.flush()
+        return stats
+
+    # Phase items: (child_node_index, old_pos, old_val, new_pos, new_val)
+    # at the phase's level; level-0 "nodes" are cells of A whose pos is
+    # their own flat index.
+    coords = zip(*(c.tolist() for c in np.unravel_index(flat, tree.shape)))
+    items: list[tuple[tuple[int, ...], int, object, int, object]] = [
+        (index, pos, old_val, pos, new_val)
+        for index, pos, old_val, new_val in zip(
+            coords, flat.tolist(), old, new
         )
+    ]
 
     for level in range(tree.height):
         stats.items_per_phase.append(len(items))
@@ -141,11 +160,10 @@ def _apply_items(
     items: Sequence[tuple[tuple[int, ...], int, object, int, object]],
     stats: MaxUpdateStats,
 ) -> None:
-    """Write update items into the storage of ``level``."""
+    """Write update items into the storage of ``level`` (``A`` itself,
+    level 0, is written by the caller before the repair starts)."""
     for node, _old_pos, _old_val, new_pos, new_val in items:
-        if level == 0:
-            tree.source[node] = new_val
-        else:
+        if level > 0:
             vals = tree.values[level]
             pos = tree.positions[level]
             assert vals is not None and pos is not None
@@ -162,6 +180,7 @@ def _run_phase(
 ) -> list[tuple[tuple[int, ...], int, object, int, object]]:
     """Process one phase: apply items at ``level``, emit for ``level+1``."""
     parent_level = level + 1
+    better = tree.order.better
     parent_vals = tree.values[parent_level]
     parent_pos = tree.positions[parent_level]
     assert parent_vals is not None and parent_pos is not None
@@ -178,9 +197,9 @@ def _run_phase(
             )
             states[parent] = state
         child_was_max = old_pos == state.orig_pos
-        if new_val > old_val:
-            _handle_increase(state, new_pos, new_val)
-        elif new_val < old_val:
+        if better(new_val, old_val):
+            _handle_increase(state, new_pos, new_val, better)
+        elif better(old_val, new_val):
             if child_was_max and state.tag == 0:
                 state.tag = -1
         elif new_pos != old_pos and child_was_max and state.tag == 0:
@@ -198,14 +217,17 @@ def _run_phase(
 
 
 def _handle_increase(
-    state: _ParentState, new_pos: int, new_val: object
+    state: _ParentState,
+    new_pos: int,
+    new_val: object,
+    better: Callable[[object, object], object],
 ) -> None:
     """Rules 1(b) and 1(c) of §7 for an increase-update."""
     if state.tag == 1:
-        if new_val > state.cand_val:
+        if better(new_val, state.cand_val):
             state.cand_pos = new_pos
             state.cand_val = new_val
-    elif new_val > state.orig_val or (
+    elif better(new_val, state.orig_val) or (
         state.tag == -1 and new_val == state.orig_val
     ):
         state.tag = 1
@@ -242,7 +264,9 @@ def _rescan_children(
     if level == 0:
         window = tree.source[region.slices()]
         stats.rescan_cells += window.size
-        local = np.unravel_index(int(np.argmax(window)), window.shape)
+        local = np.unravel_index(
+            int(tree.order.arg_best(window)), window.shape
+        )
         point = tuple(l + o for l, o in zip(region.lo, local))
         return (
             int(np.ravel_multi_index(point, tree.shape)),
@@ -260,6 +284,6 @@ def _rescan_children(
     )
     window = vals[slices]
     stats.rescan_cells += window.size
-    local = np.unravel_index(int(np.argmax(window)), window.shape)
+    local = np.unravel_index(int(tree.order.arg_best(window)), window.shape)
     child = tuple(s.start + o for s, o in zip(slices, local))
     return int(pos[child]), vals[child]

@@ -262,8 +262,10 @@ class PrefixSumCube(RangeSumIndexMixin):
     Args:
         cube: The raw data cube ``A``.
         operator: Invertible aggregation operator; default SUM.
-        keep_source: Keep a reference to ``A`` (needed only by callers that
-            also want raw-cell reads at unit cost, e.g. benchmarks).
+        keep_source: Keep ``A`` (needed only by callers that also want
+            raw-cell reads at unit cost, e.g. benchmarks).  It is held
+            through ``backend.materialize``: a copy, or ``A`` itself
+            under an :class:`~repro.index.AdoptingBackend`.
         backend: Array backend for ``P`` (and the retained source); pass
             a :class:`~repro.index.MemmapBackend` to build out-of-core.
         prefix_dims: Dimensions to accumulate along (the ``X'`` of §9.1);
@@ -484,10 +486,8 @@ class PrefixSumCube(RangeSumIndexMixin):
         return cube
 
     def apply_updates(self, updates: Sequence[PointUpdate]) -> int:
-        """Apply a batch of point updates (§5.1 along ``X'``) to ``P``.
+        """Apply a batch of point updates to ``A`` (when held) and ``P``.
 
-        An update at ``x`` dirties exactly the cells with ``y_j >= x_j``
-        on the chosen dimensions and ``y_j == x_j`` on the passive ones.
         The whole batch is validated (arity, range, sign) before the
         first write, so a rejected batch leaves ``P`` and ``A`` as they
         were.
@@ -499,14 +499,23 @@ class PrefixSumCube(RangeSumIndexMixin):
             The number of delta-uniform regions written into ``P``
             (bounded by Theorem 2 per distinct passive coordinate).
         """
-        from repro.core.batch_update import apply_batch_to_prefix
-
         flat, deltas = flatten_updates(updates, self.shape)
-        self._batch_prefix = None  # the batch-path cache is now stale
         if self.source is not None and len(flat):
             resolve_kernel().scatter(
                 self.source.reshape(-1), flat, deltas, self.operator
             )
+        return self.absorb(updates)
+
+    def absorb(self, updates: Sequence[PointUpdate]) -> int:
+        """Bring ``P`` up to date with deltas ``A`` already holds (§5.1):
+        an update at ``x`` dirties the cells with ``y_j >= x_j`` on the
+        chosen dimensions and ``y_j == x_j`` on the passive ones.  The
+        whole update when ``A`` is shared with (and written by) its
+        owner.  Returns the number of delta-uniform regions written."""
+        from repro.core.batch_update import apply_batch_to_prefix
+
+        flatten_updates(updates, self.shape)  # validate before writing
+        self._batch_prefix = None  # the batch-path cache is now stale
         regions = apply_batch_to_prefix(
             self.prefix, updates, self.operator, self.prefix_dims
         )

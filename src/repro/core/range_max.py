@@ -27,12 +27,18 @@ A range-max query ``Max_index(R)``:
 Theorem 3: with random data the expected number of accesses in 1-d is at
 most ``b + 7 + 1/b`` — far below the worst case (validated empirically in
 ``benchmarks/bench_rangemax_average.py``).
+
+§6 builds the tree for MAX "and symmetrically MIN": ``order="min"`` keeps
+each node's minimum instead, and every comparison (padding, per-block
+winner, prune, batch descent, §7 repair) reads it from :class:`TreeOrder`.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable, Sequence
+from dataclasses import dataclass
 from itertools import product
-from collections.abc import Sequence
+from operator import ge, gt, le, lt
 from typing import TYPE_CHECKING, Any
 
 import numpy as np
@@ -44,31 +50,63 @@ from repro.index.registry import FuzzProfile, register_index
 from repro.instrumentation import NULL_COUNTER, AccessCounter
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.core.batch_update import PointUpdate
+    from repro.core.batch_update import CellChanges, PointUpdate
 
 
-def _sentinel_for(dtype: np.dtype) -> object:
-    """The smallest representable value, used to pad partial blocks."""
-    if np.issubdtype(dtype, np.floating):
-        return -np.inf
-    if np.issubdtype(dtype, np.integer):
-        return np.iinfo(dtype).min
-    raise TypeError(f"range-max requires numeric cubes, got dtype {dtype}")
+@dataclass(frozen=True)
+class TreeOrder:
+    """Which extreme a §6 tree keeps per node, MAX or MIN.
+
+    Everything that compares cell values — the padding sentinel, the
+    per-block winner, the prune, the batch descent and the §7 repair —
+    reads it from here: strictly ``better`` and ``at_least`` as good
+    (``>``/``>=`` or ``<``/``<=``), the ``arg_best`` index and the
+    element-wise ``best`` ufunc.
+    """
+
+    name: str
+    better: Callable[[Any, Any], Any]
+    at_least: Callable[[Any, Any], Any]
+    arg_best: Callable[..., Any]
+    best: np.ufunc
+
+    def worst(self, dtype: np.dtype) -> object:
+        """The value every cell beats, used to pad partial blocks."""
+        if np.issubdtype(dtype, np.floating):
+            return -np.inf if self.name == "max" else np.inf
+        if np.issubdtype(dtype, np.integer):
+            limits = np.iinfo(dtype)
+            return limits.min if self.name == "max" else limits.max
+        raise TypeError(
+            f"range-{self.name} requires numeric cubes, got dtype {dtype}"
+        )
+
+
+#: The two orders a tree can keep, by name (the ``order`` parameter).
+ORDERS = {
+    "max": TreeOrder("max", gt, ge, np.argmax, np.maximum),
+    "min": TreeOrder("min", lt, le, np.argmin, np.minimum),
+}
 
 
 def _contract_argmax(
-    values: np.ndarray, positions: np.ndarray, fanout: int
+    values: np.ndarray,
+    positions: np.ndarray,
+    fanout: int,
+    order: TreeOrder = ORDERS["max"],
 ) -> tuple[np.ndarray, np.ndarray]:
-    """One bottom-up level step: per-block argmax of ``values``.
+    """One bottom-up level step: per-block best of ``values``.
 
     Args:
-        values: Current level's max values (level 0: the cube itself).
+        values: Current level's best values (level 0: the cube itself).
         positions: Matching flat indices into the original cube.
         fanout: Per-dimension fanout ``b``.
+        order: Which extreme each block keeps.
 
     Returns:
         ``(values, positions)`` of the next level, one entry per block of
-        ``b^d`` children (partial blocks padded with the dtype's minimum).
+        ``b^d`` children (partial blocks padded with the order's worst
+        value).
     """
     ndim = values.ndim
     pad_widths = []
@@ -78,7 +116,7 @@ def _contract_argmax(
     padded_vals = np.pad(
         values,
         pad_widths,
-        constant_values=_sentinel_for(values.dtype),
+        constant_values=order.worst(values.dtype),
     )
     padded_pos = np.pad(positions, pad_widths, constant_values=-1)
     block_shape = tuple(n // fanout for n in padded_vals.shape)
@@ -87,10 +125,10 @@ def _contract_argmax(
         interleaved.extend((n_blocks, fanout))
     vals = padded_vals.reshape(interleaved)
     pos = padded_pos.reshape(interleaved)
-    order = list(range(0, 2 * ndim, 2)) + list(range(1, 2 * ndim, 2))
-    vals = vals.transpose(order).reshape(block_shape + (fanout**ndim,))
-    pos = pos.transpose(order).reshape(block_shape + (fanout**ndim,))
-    winners = np.argmax(vals, axis=-1)
+    axes = list(range(0, 2 * ndim, 2)) + list(range(1, 2 * ndim, 2))
+    vals = vals.transpose(axes).reshape(block_shape + (fanout**ndim,))
+    pos = pos.transpose(axes).reshape(block_shape + (fanout**ndim,))
+    winners = order.arg_best(vals, axis=-1)
     next_vals = np.take_along_axis(
         vals, winners[..., None], axis=-1
     ).squeeze(-1)
@@ -126,15 +164,22 @@ def _sample_max_tree_params(rng: np.random.Generator, shape: tuple[int, ...]) ->
     ),
 )
 class RangeMaxTree(RangeMaxIndexMixin):
-    """Precomputed max indices over a balanced ``b^d``-ary tree (§6).
+    """Precomputed max (or min) indices over a balanced ``b^d``-ary tree (§6).
 
     Args:
-        cube: The raw data cube ``A`` (numeric).  A copy is retained —
-            the tree stores indices, so values must stay addressable.
+        cube: The raw data cube ``A`` (numeric).  The tree stores
+            indices, so values must stay addressable: ``A`` is held
+            through ``backend.materialize`` — a copy, or ``A`` itself
+            under an :class:`~repro.index.AdoptingBackend` (how a
+            :class:`~repro.query.RangeQueryEngine` shares one base cube
+            between its routes).
         fanout: Per-dimension fanout ``b >= 2``.
         backend: Array backend for the retained cube and the per-level
             arrays; pass a :class:`~repro.index.MemmapBackend` to build
             out-of-core.
+        order: ``"max"`` (the default) or ``"min"`` — which extreme
+            every node keeps; a ``"min"`` tree answers range-MIN with
+            the same search, "symmetrically" as §6 puts it.
     """
 
     def __init__(
@@ -142,32 +187,42 @@ class RangeMaxTree(RangeMaxIndexMixin):
         cube: np.ndarray,
         fanout: int,
         backend: ArrayBackend | None = None,
+        order: str = "max",
     ) -> None:
         cube = np.asarray(cube)
         if fanout < 2:
             raise ValueError(f"fanout must be >= 2, got {fanout}")
         if cube.ndim == 0:
             raise ValueError("the data cube must have at least one dimension")
-        _sentinel_for(cube.dtype)  # fail fast on unsupported dtypes
+        if order not in ORDERS:
+            raise ValueError(f"order must be one of {sorted(ORDERS)}, got {order!r}")
+        self.order = ORDERS[order]
+        self.order.worst(cube.dtype)  # fail fast on unsupported dtypes
         self.fanout = int(fanout)
         self.backend = resolve_backend(backend)
         self.source = self.backend.materialize("source", cube)
         self.shape = tuple(int(n) for n in cube.shape)
         self.ndim = cube.ndim
         # Level arrays; index 0 is a placeholder so self.values[i] is the
-        # contracted array A_i of the paper for i >= 1.
+        # contracted array A_i of the paper for i >= 1; fresh backend
+        # allocations (never adopted: only ``A`` is shared).
         self.values: list[np.ndarray | None] = [None]
         self.positions: list[np.ndarray | None] = [None]
         vals = self.source
         pos = np.arange(self.source.size, dtype=np.int64).reshape(self.shape)
         while any(n > 1 for n in vals.shape):
-            vals, pos = _contract_argmax(vals, pos, self.fanout)
+            vals, pos = _contract_argmax(vals, pos, self.fanout, self.order)
             level = len(self.values)
-            vals = self.backend.materialize(f"values_{level}", vals)
-            pos = self.backend.materialize(f"positions_{level}", pos)
+            vals = self._allocate(f"values_{level}", vals)
+            pos = self._allocate(f"positions_{level}", pos)
             self.values.append(vals)
             self.positions.append(pos)
         self.height = len(self.values) - 1
+
+    def _allocate(self, name: str, array: np.ndarray) -> np.ndarray:
+        out = self.backend.empty(name, array.shape, array.dtype)
+        out[...] = array
+        return out
 
     @property
     def node_count(self) -> int:
@@ -180,7 +235,7 @@ class RangeMaxTree(RangeMaxIndexMixin):
 
     def index_params(self) -> dict[str, Any]:
         """Construction parameters (reported and persisted)."""
-        return {"fanout": self.fanout}
+        return {"fanout": self.fanout, "order": self.order.name}
 
     # ------------------------------------------------------------------
     # Protocol surface (RangeMaxIndex)
@@ -210,41 +265,42 @@ class RangeMaxTree(RangeMaxIndexMixin):
         return self.max_index_many(lows, highs, counter)
 
     def apply_updates(self, updates: Sequence[PointUpdate]) -> object:
-        """Absorb point *deltas* via the §7 assignment machinery.
+        """Absorb point *deltas*: write ``A``, then the §7 repair.
 
         Duplicate deltas to one cell accumulate first — the same merge
         the SUM-family partition performs — so the batch means the same
-        thing whichever index family absorbs it.  The merged deltas are
-        then converted to the assignments they imply (new value =
-        pre-batch value + total delta) and the bottom-up repair of
-        :func:`repro.core.max_update.apply_max_updates` runs once.
+        thing whichever index family absorbs it.  Each merged cell's new
+        value (pre-batch value + total delta) is written into ``A`` and
+        :meth:`repair` runs once.
 
         Returns:
             The :class:`~repro.core.max_update.MaxUpdateStats` of the run.
         """
-        from repro.core.max_update import MaxAssignment, apply_max_updates
+        from repro.core.batch_update import stage_changes, write_cells
 
-        merged: dict[tuple[int, ...], object] = {}
-        for update in updates:
-            index = tuple(update.index)
-            merged[index] = (
-                merged[index] + update.delta
-                if index in merged
-                else update.delta
-            )
-        stats = apply_max_updates(
+        changes = stage_changes(self.source, updates)
+        write_cells(self.source, changes.flat, changes.new)
+        return self.repair(changes)
+
+    def repair(self, changes: CellChanges) -> object:
+        """Bring the levels up to date with cells ``A`` already holds: the
+        §7 repair from each changed cell's old and new value — the whole
+        update when ``A`` is shared with (and written by) its owner."""
+        from repro.core.max_update import repair_max_tree
+
+        return repair_max_tree(
             self,
-            [
-                MaxAssignment(index, self.source[index] + delta)
-                for index, delta in merged.items()
-            ],
+            changes.flat,
+            changes.old.astype(self.source.dtype, copy=False),
+            changes.new.astype(self.source.dtype, copy=False),
         )
-        self.backend.flush()
-        return stats
 
     def state_dict(self) -> dict[str, Any]:
         """Defining arrays + scalars for generic persistence."""
         state: dict[str, Any] = {"fanout": self.fanout, "source": self.source}
+        if self.order.name != "max":
+            # Max trees keep the key set they have always written.
+            state["order"] = self.order.name
         for level in range(1, self.height + 1):
             state[f"values_{level}"] = self.values[level]
             state[f"positions_{level}"] = self.positions[level]
@@ -258,6 +314,7 @@ class RangeMaxTree(RangeMaxIndexMixin):
         backend = resolve_backend(backend)
         tree = cls.__new__(cls)
         tree.fanout = int(state["fanout"])
+        tree.order = ORDERS[str(state.get("order", "max"))]
         tree.backend = backend
         tree.source = backend.materialize("source", state["source"])
         tree.shape = tuple(int(n) for n in tree.source.shape)
@@ -289,6 +346,9 @@ class RangeMaxTree(RangeMaxIndexMixin):
         use_branch_and_bound: bool = True,
     ) -> tuple[int, ...]:
         """Index of a maximum cell inside ``box`` (``Max_index(R)``, §6.1.3).
+
+        A ``"min"`` tree answers with a minimum cell instead: the same
+        search under the reversed comparison.
 
         Args:
             box: Inclusive query region.
@@ -435,6 +495,7 @@ class RangeMaxTree(RangeMaxIndexMixin):
             return self._scan_leaves(node, region, current, counter)
         vals = self.values[level - 1]
         assert vals is not None
+        better = self.order.better
         deferred: list[tuple[tuple[int, ...], object]] = []
         for child in self._iter_children(level, node):
             cover = self.node_region(level - 1, child)
@@ -447,12 +508,12 @@ class RangeMaxTree(RangeMaxIndexMixin):
             is_internal = region.contains_box(cover)
             if is_internal or region.contains_point(stored):
                 # I(x, R) ∪ B_in(x, R): one access resolves the child.
-                if child_value > self.source[current]:
+                if better(child_value, self.source[current]):
                     current = stored
             else:
                 deferred.append((child, child_value))
         for child, child_value in deferred:
-            if use_bnb and child_value <= self.source[current]:
+            if use_bnb and not better(child_value, self.source[current]):
                 continue  # branch-and-bound prune
             cover = self.node_region(level - 1, child)
             current = self._get_max_index(
@@ -482,10 +543,10 @@ class RangeMaxTree(RangeMaxIndexMixin):
             return current
         counter.count_cube(scan.volume)
         window = self.source[scan.slices()]
-        local_flat = int(np.argmax(window))
+        local_flat = int(self.order.arg_best(window))
         local = np.unravel_index(local_flat, window.shape)
         candidate = tuple(l + o for l, o in zip(scan.lo, local))
-        if self.source[candidate] > self.source[current]:
+        if self.order.better(self.source[candidate], self.source[current]):
             return candidate
         return current
 

@@ -225,7 +225,7 @@ class DataCube:
     def min(
         self, counter: AccessCounter = NULL_COUNTER, **conditions: object
     ) -> tuple[dict[str, object], object]:
-        """Range-MIN via MAX over the negated cube."""
+        """Range-MIN via the min-ordered §6 tree."""
         index, value = self.engine.min(self.parse_query(conditions), counter)
         return self._decode_index(index), value
 

@@ -72,7 +72,7 @@ class RangeSumIndex(Protocol):
 
 @runtime_checkable
 class RangeMaxIndex(Protocol):
-    """Contract for range-MAX (MIN via negation) indexes."""
+    """Contract for range-MAX indexes (MIN: the same index ordered by ``<``)."""
 
     def query(
         self, box: Box, counter: AccessCounter = NULL_COUNTER
@@ -313,6 +313,14 @@ class InstrumentedIndex:
 
     def apply_updates(self, updates: object) -> object:
         return self.index.apply_updates(updates)
+
+    def absorb(self, updates: object) -> object:
+        """Derived-array maintenance of a sum index over a shared cube."""
+        return self.index.absorb(updates)
+
+    def repair(self, changes: object) -> object:
+        """Derived-array maintenance of a tree over a shared cube."""
+        return self.index.repair(changes)
 
     def compare_query(
         self,

@@ -22,6 +22,7 @@ import numpy as np
 
 from repro._util import Box
 from repro.cube.cuboid import CuboidKey, is_ancestor
+from repro.index.backend import AdoptingBackend, resolve_backend
 from repro.instrumentation import NULL_COUNTER, AccessCounter
 from repro.optimizer.cost_model import boundary_cells_per_surface
 from repro.optimizer.cuboid_selection import Materialization
@@ -35,10 +36,13 @@ if TYPE_CHECKING:  # pragma: no cover
 
 @dataclass
 class MaterializedCuboid:
-    """One built cuboid: its key and the prefix structure over it."""
+    """One built cuboid: its key, the prefix structure over it, and
+    whether that structure reads the set's base itself (``shares_base``:
+    a cuboid over every dimension needs no group-by of its own)."""
 
     key: CuboidKey
     structure: BlockedPrefixSumCube
+    shares_base: bool = False
 
     @property
     def block_size(self) -> int:
@@ -50,7 +54,13 @@ class MaterializedCuboidSet:
     """A servable set of cuboid prefix sums (the executed §9 plan).
 
     Args:
-        cube: The base measure cube ``A`` (retained for fallback scans).
+        cube: The base measure cube ``A`` (for fallback scans).  The
+            set keeps its own copy, taken through ``backend`` and
+            written by :meth:`apply_updates` — or, through an
+            :class:`~repro.index.AdoptingBackend`, reads the caller's
+            ``A`` itself and leaves writing it to the caller, as after
+            :meth:`rebase`.  A cuboid over every dimension reads the
+            set's ``A`` rather than a copy.
         plan: Materializations to build, e.g. ``SelectionResult.chosen``.
         backend: Array backend every cuboid structure allocates through
             (pass a :class:`~repro.index.MemmapBackend` to spill the
@@ -63,9 +73,17 @@ class MaterializedCuboidSet:
         plan: Sequence[Materialization],
         backend: ArrayBackend | None = None,
     ) -> None:
-        self.base = np.array(cube, copy=True)
-        self.shape = tuple(int(n) for n in cube.shape)
-        self.ndim = cube.ndim
+        cube = np.asarray(cube)
+        #: Whether :meth:`apply_updates` writes ``base`` (a copy the set
+        #: owns) or the caller does (an adopted ``A``).
+        self.owns_base = not isinstance(backend, AdoptingBackend)
+        if isinstance(backend, AdoptingBackend):
+            scope, self.base = backend.inner, cube
+        else:
+            scope = resolve_backend(backend)
+            self.base = scope.materialize("base", cube)
+        self.shape = tuple(int(n) for n in self.base.shape)
+        self.ndim = self.base.ndim
         self.backend = backend
         self.plan: tuple[Materialization, ...] = tuple(plan)
         self.cuboids: list[MaterializedCuboid] = []
@@ -79,14 +97,12 @@ class MaterializedCuboidSet:
             dropped = tuple(
                 j for j in range(self.ndim) if j not in set(chosen.key)
             )
-            group_by = (
-                self.base.sum(axis=dropped) if dropped else self.base
-            )
             structure = chosen.index_spec().build(
-                group_by, backend=backend
+                self.base.sum(axis=dropped) if dropped else self.base,
+                backend=scope if dropped else AdoptingBackend(scope),
             )
             self.cuboids.append(
-                MaterializedCuboid(chosen.key, structure)
+                MaterializedCuboid(chosen.key, structure, not dropped)
             )
 
     @classmethod
@@ -102,9 +118,10 @@ class MaterializedCuboidSet:
         The streaming ingest builder (:mod:`repro.ingest`) accumulates
         every cuboid's group-by cells in one pass over the record stream
         and finalizes each structure in place; this constructor adopts
-        those structures — and the base cube, *without* the defensive
-        copy ``__init__`` takes — so an out-of-core build never holds a
-        second ``N``-cell array.
+        those structures — and the base cube, *without* the copy
+        ``__init__`` takes (the set owns and writes it until a
+        :meth:`rebase`) — so an out-of-core build never holds a second
+        ``N``-cell array.
 
         Args:
             base: The accumulated base cube (adopted as-is; for spilled
@@ -124,6 +141,7 @@ class MaterializedCuboidSet:
         base = np.asarray(base)
         self = cls.__new__(cls)
         self.base = base
+        self.owns_base = True
         self.shape = tuple(int(n) for n in base.shape)
         self.ndim = base.ndim
         self.backend = backend
@@ -254,17 +272,23 @@ class MaterializedCuboidSet:
         """Propagate a batch of base-cube point updates to every
         materialized cuboid (§5 run per structure).
 
-        Each update's index projects onto a cuboid by dropping the
-        summed-out coordinates; deltas colliding on the same projected
-        cell merge before the per-structure batch update runs.
+        The base is written once, here when the set owns it (else its
+        owner already has), so a cuboid that reads the base itself only
+        repairs its prefix array.  Each update's index projects onto a
+        cuboid by dropping the summed-out coordinates; deltas colliding
+        on the same projected cell merge before the per-structure batch
+        update runs.
         """
         from repro.core.batch_update import (
             PointUpdate,
             combine_duplicate_updates,
+            stage_changes,
+            write_cells,
         )
 
-        for update in updates:
-            self.base[update.index] += update.delta
+        if self.owns_base:
+            changes = stage_changes(self.base, updates)
+            write_cells(self.base, changes.flat, changes.new)
         for cuboid in self.cuboids:
             projected = [
                 PointUpdate(
@@ -276,4 +300,19 @@ class MaterializedCuboidSet:
             merged = combine_duplicate_updates(
                 projected, cuboid.structure.operator
             )
-            cuboid.structure.apply_updates(merged)
+            if cuboid.shares_base:
+                cuboid.structure.absorb(merged)
+            else:
+                cuboid.structure.apply_updates(merged)
+
+    def rebase(self, base: np.ndarray) -> None:
+        """Hand the base to its owner: read ``base`` — equal to the
+        current base — from now on, in the set and every cuboid that
+        reads the base itself, and leave writing it to the owner (how a
+        served cube adopts a set, and how a set built from a snapshot of
+        the live base is installed over it)."""
+        self.base = base
+        self.owns_base = False
+        for cuboid in self.cuboids:
+            if cuboid.shares_base:
+                cuboid.structure.source = base

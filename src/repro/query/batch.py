@@ -23,7 +23,8 @@ constant number of numpy operations:
 The same kernel serves the basic prefix-sum cube (§3), the partial
 prefix-sum cube (§9.1, through a lazily built full-prefix cache), and the
 block-aligned internal regions of the blocked cube (§4).  MAX/MIN batches
-run a level-synchronous *shared-frontier* descent of the §6 tree: all
+run a level-synchronous *shared-frontier* descent of the §6 tree (MIN's
+tree is ordered by ``<``): all
 ``K`` searches walk the tree together, one vectorized wave per level, with
 the branch-and-bound prune applied across the whole frontier.
 
@@ -251,7 +252,8 @@ def batch_max_index(
 
     Maximum *values* are exact.  When several cells tie, the reported
     index may differ from the scalar path's choice (both are valid
-    argmax witnesses inside the query box).
+    argmax witnesses inside the query box).  A ``"min"``-ordered tree
+    runs the same descent under ``<`` and answers range-MIN.
 
     Args:
         tree: A built :class:`RangeMaxTree`.
@@ -271,6 +273,8 @@ def batch_max_index(
             np.empty(0, dtype=tree.source.dtype),
         )
     fanout = tree.fanout
+    order = tree.order
+    better, at_least = order.better, order.at_least
     shape_arr = np.asarray(tree.shape, dtype=np.int64)
     # Seed every query's best with A[l] (the scalar path's seed).
     best_flat = np.ravel_multi_index(tuple(lows.T), tree.shape)
@@ -305,9 +309,9 @@ def batch_max_index(
         nodes = np.concatenate([p[1] for p in parts])
         node_values = tree.values[level][tuple(nodes.T)]
         counter.count_tree(len(qid))
-        # Branch-and-bound across the whole frontier: a node whose max
+        # Branch-and-bound across the whole frontier: a node whose best
         # cannot strictly improve its query's best is dropped.
-        alive = node_values > best_value[qid]
+        alive = better(node_values, best_value[qid])
         if not np.any(alive):
             continue
         qid = qid[alive]
@@ -325,8 +329,8 @@ def batch_max_index(
         if np.any(resolved):
             rq = qid[resolved]
             rv = node_values[resolved]
-            np.maximum.at(best_value, rq, rv)
-            winners = rv >= best_value[rq]
+            order.best.at(best_value, rq, rv)
+            winners = at_least(rv, best_value[rq])
             best_flat[rq[winners]] = stored_flat[resolved][winners]
         # B_out: descend into children overlapping the query region.
         descend = ~resolved
@@ -360,8 +364,8 @@ def batch_max_index(
             flat = np.ravel_multi_index(tuple(next_nodes.T), tree.shape)
             cell_values = source_flat[flat]
             counter.count_cube(len(flat))
-            np.maximum.at(best_value, next_qid, cell_values)
-            winners = cell_values >= best_value[next_qid]
+            order.best.at(best_value, next_qid, cell_values)
+            winners = at_least(cell_values, best_value[next_qid])
             best_flat[next_qid[winners]] = flat[winners]
         else:
             frontier.setdefault(level - 1, []).append(

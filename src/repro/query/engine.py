@@ -12,24 +12,32 @@ It also derives the aggregate family the paper reduces to SUM and MAX:
 
 * ``COUNT`` is a SUM over a 0/1 (or record-count) cube;
 * ``AVERAGE`` keeps the (sum, count) pair — one prefix structure each;
-* ``MIN`` is a MAX over the negated cube;
+* ``MIN`` is the §6 tree ordered by ``<`` ("and symmetrically MIN");
 * ``ROLLING SUM`` / ``ROLLING AVERAGE`` are range-sum/average specials
   (a window sliding along one dimension).
+
+Every route reads one base cube: the engine takes its cube once and
+builds each structure over that array by reference (through an
+:class:`~repro.index.AdoptingBackend`), so an update writes the base
+exactly once and each structure maintains only its derived arrays.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
 from repro._util import Box
-from repro.index.backend import ArrayBackend
+from repro.index.backend import AdoptingBackend, ArrayBackend, resolve_backend
 from repro.index.protocol import InstrumentedIndex
 from repro.index.registry import IndexSpec
 from repro.instrumentation import NULL_COUNTER, AccessCounter
 from repro.query.ranges import RangeQuery, canonical_box
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.core.batch_update import PointUpdate
 
 #: The structures an engine builds when none is named.
 DEFAULT_SUM_INDEX = IndexSpec.of("prefix_sum")
@@ -73,40 +81,6 @@ def divide_averages(totals: object, denominators: object) -> np.ndarray:
     return out
 
 
-def _maxtree_source(cube: np.ndarray) -> np.ndarray:
-    """A max-index-compatible view of the cube (bool promotes to int8)."""
-    if cube.dtype == np.bool_:
-        return cube.astype(np.int8)
-    return cube
-
-
-def _negation_safe(cube: np.ndarray) -> np.ndarray:
-    """Promote dtypes whose negation wraps before building the min index.
-
-    ``MIN = MAX over −A`` (§1) is only sound when ``−A`` is exact:
-    negating an unsigned cube wraps around (``min`` over
-    ``np.arange(12, dtype=np.uint32)`` used to come back as 1 with a
-    RuntimeWarning), and bool has no negative values at all.  Unsigned
-    ints below 64 bits promote to int64; uint64 — which has no lossless
-    signed home — promotes to float64 (exact up to 2^53); bool promotes
-    to int8.
-    """
-    if cube.dtype == np.bool_:
-        return cube.astype(np.int8)
-    if np.issubdtype(cube.dtype, np.unsignedinteger):
-        if cube.dtype.itemsize < 8:
-            return cube.astype(np.int64)
-        return cube.astype(np.float64)
-    return cube
-
-
-def _negated_delta(delta: object) -> object:
-    """``−delta`` computed wrap-free (unsigned numpy scalars demote)."""
-    if isinstance(delta, np.generic):
-        delta = delta.item()
-    return -delta
-
-
 def _as_spec(index: str | IndexSpec, params: dict[str, Any] | None) -> IndexSpec:
     """Normalize a name-or-spec plus optional params into one IndexSpec."""
     if isinstance(index, IndexSpec):
@@ -121,7 +95,10 @@ class RangeQueryEngine:
     """Answer range SUM / COUNT / AVERAGE / MAX / MIN queries over a cube.
 
     Args:
-        cube: The raw measure cube ``A``.
+        cube: The raw measure cube ``A``, taken once through
+            ``backend.materialize`` (a copy; the array itself under an
+            :class:`~repro.index.AdoptingBackend`) and held as
+            :attr:`base`.  Every route is built over that one array.
         sum_index: Registry name or :class:`~repro.index.IndexSpec` of the
             range-sum structure (default ``"prefix_sum"``).  The same spec
             serves COUNT over the counts cube.
@@ -129,12 +106,14 @@ class RangeQueryEngine:
             (merged over the spec's own params).
         max_index: Registry name or spec of the range-max structure
             (default ``"range_max_tree"`` with fanout 4); pass ``None``
-            to skip building the max/min side.  The same spec over the
-            negated cube serves MIN.
+            to skip building the max/min side.  The same spec with
+            ``order="min"`` serves MIN.  A bool cube is read through a
+            zero-copy ``int8`` view.
         max_params: Extra construction params for ``max_index``.
-        counts: Optional cube of record counts per cell.  When given,
-            ``count`` and ``average`` queries are answered from its own
-            prefix structure (the paper's (sum, count) 2-tuple).
+        counts: Optional cube of record counts per cell, taken like
+            ``cube`` and held as :attr:`counts`.  When given, ``count``
+            and ``average`` queries are answered from its own prefix
+            structure (the paper's (sum, count) 2-tuple).
         backend: :class:`~repro.index.ArrayBackend` threaded into every
             structure that supports out-of-core allocation.
         counter: Engine-level :class:`AccessCounter` observing every
@@ -152,8 +131,10 @@ class RangeQueryEngine:
         backend: ArrayBackend | None = None,
         counter: AccessCounter | None = None,
     ) -> None:
-        cube = np.asarray(cube)
-        self.shape = tuple(int(n) for n in cube.shape)
+        owner = resolve_backend(backend)
+        self.base = owner.materialize("source", np.asarray(cube))
+        self.shape = tuple(int(n) for n in self.base.shape)
+        self.counts: np.ndarray | None = None
         self.backend = backend
         self.counter = NULL_COUNTER if counter is None else counter
 
@@ -175,6 +156,12 @@ class RangeQueryEngine:
         self.sum_spec = sum_spec
         self.max_spec = max_spec
 
+        # Every structure adopts the engine's arrays instead of copying;
+        # its derived arrays still allocate through ``owner``.
+        shared = (
+            owner if isinstance(owner, AdoptingBackend)
+            else AdoptingBackend(owner)
+        )
         # The routing table: aggregate name -> instrumented index (or
         # None when that aggregate was not built).  Query methods only
         # ever consult this table — never concrete structure types.
@@ -182,21 +169,27 @@ class RangeQueryEngine:
             name: None for name in AGGREGATES
         }
         self._routes["sum"] = self._instrument(
-            sum_spec.build(cube, backend=backend)
+            sum_spec.build(self.base, backend=shared)
         )
         if counts is not None:
-            counts = np.asarray(counts)
-            if counts.shape != cube.shape:
+            if np.shape(counts) != self.shape:
                 raise ValueError("counts cube must match the measure cube")
+            self.counts = owner.materialize("counts", np.asarray(counts))
             self._routes["count"] = self._instrument(
-                sum_spec.build(counts, backend=backend)
+                sum_spec.build(self.counts, backend=shared)
             )
         if max_spec is not None:
+            ordered = (
+                self.base.view(np.int8)
+                if self.base.dtype == np.bool_
+                else self.base
+            )
+            min_spec = _as_spec(max_spec, {"order": "min"})
             self._routes["max"] = self._instrument(
-                max_spec.build(_maxtree_source(cube), backend=backend)
+                max_spec.build(ordered, backend=shared)
             )
             self._routes["min"] = self._instrument(
-                max_spec.build(-_negation_safe(cube), backend=backend)
+                min_spec.build(ordered, backend=shared)
             )
 
     def _instrument(self, index: object) -> InstrumentedIndex:
@@ -272,7 +265,25 @@ class RangeQueryEngine:
         counter: AccessCounter = NULL_COUNTER,
     ) -> tuple[tuple[int, ...], object]:
         """Range-max: ``(index, value)`` of a maximum cell."""
-        route = self._routes["max"]
+        return self._witness("max", query, counter)
+
+    def min(
+        self,
+        query: RangeQuery | Box,
+        counter: AccessCounter = NULL_COUNTER,
+    ) -> tuple[tuple[int, ...], object]:
+        """Range-min: ``(index, value)`` of a minimum cell.
+
+        Answered by the min-ordered §6 tree over the same base cube, so
+        the value is the cell itself in the cube's own dtype (exact for
+        every integer width, uint64 included).
+        """
+        return self._witness("min", query, counter)
+
+    def _witness(
+        self, aggregate: str, query: RangeQuery | Box, counter: AccessCounter
+    ) -> tuple[tuple[int, ...], object]:
+        route = self._routes[aggregate]
         if route is None:
             raise RuntimeError("engine was built without max trees")
         box = self._resolve(query)
@@ -281,27 +292,6 @@ class RangeQueryEngine:
             raise ValueError(f"no non-empty cell in {box}")
         index, value = hit
         return index, py_scalar(value)
-
-    def min(
-        self,
-        query: RangeQuery | Box,
-        counter: AccessCounter = NULL_COUNTER,
-    ) -> tuple[tuple[int, ...], object]:
-        """Range-min via MAX over the negated cube (§1).
-
-        The negated cube is dtype-promoted first (see
-        :func:`_negation_safe`), so unsigned and bool cubes return their
-        true minimum instead of a wrapped value.
-        """
-        route = self._routes["min"]
-        if route is None:
-            raise RuntimeError("engine was built without max trees")
-        box = self._resolve(query)
-        hit = route.query(box, counter)
-        if hit is None:
-            raise ValueError(f"no non-empty cell in {box}")
-        index, negated = hit
-        return index, py_scalar(_negated_delta(negated))
 
     # ------------------------------------------------------------------
     # Batch query execution (the vectorized path of repro.query.batch)
@@ -435,7 +425,8 @@ class RangeQueryEngine:
         highs: object | None = None,
         counter: AccessCounter = NULL_COUNTER,
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Range-min for ``K`` queries (MAX descent over the negated cube).
+        """Range-min for ``K`` queries (the shared descent of the
+        min-ordered tree).
 
         Returns:
             ``(indices, values)``: a ``(K, d)`` int64 array of argmin
@@ -445,8 +436,7 @@ class RangeQueryEngine:
         if route is None:
             raise RuntimeError("engine was built without max trees")
         lo, hi = self._batch_arrays(lows, highs)
-        indices, negated = route.query_many(lo, hi, counter)
-        return indices, -negated
+        return route.query_many(lo, hi, counter)
 
     # ------------------------------------------------------------------
     # Updates
@@ -457,14 +447,16 @@ class RangeQueryEngine:
         updates: Sequence[PointUpdate],
         count_updates: Sequence[PointUpdate] | None = None,
     ) -> None:
-        """Absorb a batch of measure deltas into every built structure.
+        """Write a batch of deltas into the base once, then maintain
+        every route's derived arrays from it.
 
-        Every route takes the same protocol call: the sum/count indexes
-        run their §5 batch machinery; the max index converts deltas to
-        the §7 assignments they imply; the min index receives the
-        *negated* deltas (it holds ``−A``).  Duplicate cells are merged
-        first so each structure reads each cell's pre-batch value exactly
-        once.
+        Duplicate cells merge first and each cell's pre-batch value is
+        read once.  The sum index repairs ``P`` from the merged deltas
+        (§5); the max and min trees repair their levels from each cell's
+        old and new value (§7).  Both batches are validated — arity,
+        range, and that every cell's exact new value fits the cube's
+        integer dtype — before the first write, so a rejected batch
+        (:class:`~repro.core.batch_update.UnfitUpdate`) changes nothing.
 
         Args:
             updates: Measure deltas per cell.
@@ -472,35 +464,29 @@ class RangeQueryEngine:
                 engine was built with a counts cube and AVERAGE must stay
                 exact).
         """
-        from repro.core.batch_update import (
-            PointUpdate,
-            combine_duplicate_updates,
-        )
+        from repro.core.batch_update import stage_changes, write_cells
 
-        merged = combine_duplicate_updates(updates)
+        changes = stage_changes(self.base, updates)
+        count_changes = None
+        if count_updates is not None:
+            if self.counts is None:
+                raise ValueError("engine was built without a counts cube")
+            count_changes = stage_changes(
+                self.counts, count_updates, "count update"
+            )
+        write_cells(self.base, changes.flat, changes.new)
         sum_route = self._routes["sum"]
         assert sum_route is not None
-        sum_route.apply_updates(merged)
-        if count_updates is not None:
-            count_route = self._routes["count"]
-            if count_route is None:
-                raise ValueError(
-                    "engine was built without a counts cube"
-                )
-            count_route.apply_updates(
-                combine_duplicate_updates(count_updates)
-            )
-        max_route = self._routes["max"]
-        if max_route is not None:
-            max_route.apply_updates(merged)
-        min_route = self._routes["min"]
-        if min_route is not None:
-            min_route.apply_updates(
-                [
-                    PointUpdate(u.index, _negated_delta(u.delta))
-                    for u in merged
-                ]
-            )
+        sum_route.absorb(changes.updates)
+        for name in ("max", "min"):
+            tree = self._routes[name]
+            if tree is not None:
+                tree.repair(changes)
+        count_route = self._routes["count"]
+        if count_changes is not None and count_route is not None:
+            assert self.counts is not None
+            write_cells(self.counts, count_changes.flat, count_changes.new)
+            count_route.absorb(count_changes.updates)
 
     def rolling_sum(
         self,

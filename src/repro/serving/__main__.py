@@ -177,9 +177,9 @@ def _register_ingested(
     extra: dict = {}
     if result.spilled:
         # No indexed tier for an out-of-core cube: the engine's default
-        # structures would copy the whole base back onto the heap.  The
-        # materialized cuboids (plus the fallback scan over the mapped
-        # base) serve it.
+        # §3 prefix array is another base-sized array, and its trees
+        # build through a base-sized heap transient.  The materialized
+        # cuboids (plus the fallback scan over the mapped base) serve it.
         extra["engine"] = None
     service.register_cube(
         name,

@@ -16,8 +16,9 @@ The closed loop this module completes:
 The hot-swap protocol (the part that makes "zero downtime" true rather
 than aspirational):
 
-* under the cube's **read lock**: copy the base cube and switch on
-  *pending-update recording* (``cube.pending_design_updates = []``).
+* under the cube's **read lock**: snapshot the base cube (the build's
+  input only) and switch on *pending-update recording*
+  (``cube.pending_design_updates = []``).
   The read lock excludes writers, so the copy and the recording switch
   are atomic with respect to ``/update`` — no delta can land between
   them and be lost;
@@ -27,8 +28,10 @@ than aspirational):
   *live* tiers normally and is also appended to the recording list
   (under the write lock, inside :meth:`QueryService._apply_update`);
 * under the **write lock**: replay the recorded updates into the new
-  set, install it as ``cube.cuboids``, bump the generation, and
-  invalidate the result cache.  The write lock drains in-flight reads
+  set's cuboids, point it at the live base (which already holds them:
+  :meth:`~repro.optimizer.materialize.MaterializedCuboidSet.rebase`),
+  install it as ``cube.cuboids``, bump the generation, and invalidate
+  the result cache.  The write lock drains in-flight reads
   (including coalesced batches running on pool threads), so no reader
   ever observes half a swap, and replay-then-install means the new plan
   answers are bit-identical to the old plan's from its first request —
@@ -41,6 +44,7 @@ import asyncio
 import time
 from typing import TYPE_CHECKING
 
+from repro.index.backend import AdoptingBackend, resolve_backend
 from repro.optimizer.advisor import DesignDelta
 from repro.optimizer.materialize import MaterializedCuboidSet
 
@@ -219,10 +223,14 @@ class AdaptiveController:
                 f"design-g{cube.design_generation}"
             )
         try:
+            # Adopting: the set reads the snapshot, not a copy of it,
+            # until ``rebase`` points it at the live base.
             candidate = await loop.run_in_executor(
                 self.service._ensure_executor(),
                 lambda: MaterializedCuboidSet(
-                    base_snapshot, delta.candidate, backend=build_backend
+                    base_snapshot,
+                    delta.candidate,
+                    backend=AdoptingBackend(resolve_backend(build_backend)),
                 ),
             )
         except BaseException:
@@ -235,6 +243,7 @@ class AdaptiveController:
             pending = cube.pending_design_updates or []
             if pending:
                 candidate.apply_updates(pending)
+            candidate.rebase(cube.base)
             cube.pending_design_updates = None
             superseded = cube.cuboids
             cube.cuboids = candidate

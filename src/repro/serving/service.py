@@ -45,8 +45,13 @@ from typing import Any
 import numpy as np
 
 from repro._util import Box
-from repro.core.batch_update import PointUpdate
-from repro.index.backend import ArrayBackend
+from repro.core.batch_update import (
+    PointUpdate,
+    UnfitUpdate,
+    stage_changes,
+    write_cells,
+)
+from repro.index.backend import AdoptingBackend, ArrayBackend, resolve_backend
 from repro.instrumentation import AccessCounter
 from repro.optimizer.advisor import DesignDelta, re_advise
 from repro.optimizer.cost_model import boundary_cells_per_surface
@@ -235,22 +240,31 @@ class QueryService:
     ) -> ServedCube:
         """Register ``cube`` under ``name`` and build its tiers.
 
+        The served cube holds one base array (and one counts array):
+        every tier — the engine's routes, the materialized set, the
+        fallback scan — reads it by reference, and ``/update`` writes it
+        once.
+
         Args:
             name: URL-safe cube name (non-empty, no ``/``).
-            cube: The measure cube; copied, so later caller-side
-                mutation cannot silently diverge the tiers.  May be
-                omitted when ``cuboid_set`` is given — the set's own
-                base cube is then *adopted without a copy*, which is how
-                an out-of-core :func:`repro.ingest.ingest` build (whose
-                base is a memmap) goes straight into serving.
+            cube: The measure cube; copied once, so later caller-side
+                mutation cannot silently diverge the tiers.  With a
+                ``cuboid_set`` the set's own base is *adopted without a
+                copy* instead (after checking it equals ``cube``, when
+                both are given), which is how an out-of-core
+                :func:`repro.ingest.ingest` build (whose base is a
+                memmap) goes straight into serving.
             engine: A prebuilt :class:`RangeQueryEngine` to serve from
-                (it must cover the same data, and ``counts`` should
-                match what it was built with), or ``None`` for no
-                indexed tier.  Default: build one from ``sum_index`` /
-                ``max_index`` with a fresh per-cube access counter.
+                (it must cover the same data, and ``counts``, when
+                given, must equal what it was built with), or ``None``
+                for no indexed tier.  A prebuilt engine's own base and counts
+                become the served ones.  Default: build one over the
+                served base from ``sum_index`` / ``max_index`` with a
+                fresh per-cube access counter.
             sum_index / sum_params / max_index / max_params:
                 Forwarded to the default-built engine.
-            counts: Optional record-count cube (AVERAGE denominators).
+            counts: Optional record-count cube (AVERAGE denominators),
+                copied once like ``cube``.
             backend: Array backend for built structures.  Also retained
                 as the cube's *design backend*: adaptive rebuilds
                 allocate through per-swap subscopes of it so superseded
@@ -263,8 +277,7 @@ class QueryService:
                 ``engine=``, it must cover the same data as ``cube``;
                 when both are passed, registration verifies the set's
                 base equals the cube cell-for-cell and rejects a
-                mismatch (when only ``cuboid_set`` is passed its base
-                is adopted, so they cannot disagree).
+                mismatch.  Either way the set's base is adopted.
             fallback: Keep the naive base-scan tier (tier 2's safety
                 net); disable to make uncovered operators a 422.
         """
@@ -277,42 +290,51 @@ class QueryService:
                 "pass either plan= (build here) or cuboid_set= "
                 "(adopt a prebuilt set), not both"
             )
-        if cube is None:
-            if cuboid_set is None:
-                raise ValueError(
-                    "register_cube needs a cube array (or a cuboid_set "
-                    "whose base to adopt)"
-                )
-            base = np.asarray(cuboid_set.base)
+        if cube is None and cuboid_set is None:
+            raise ValueError(
+                "register_cube needs a cube array (or a cuboid_set "
+                "whose base to adopt)"
+            )
+        owner = resolve_backend(backend)
+        prebuilt = None if engine is _UNSET else engine
+        # The one base (and counts) every tier reads: a prebuilt
+        # engine's own (it writes them on /update), else an adopted
+        # set's, else one copy of ``cube``.
+        if prebuilt is not None:
+            base, held_counts = prebuilt.base, prebuilt.counts
         else:
-            base = np.array(cube, copy=True)
-            if cuboid_set is not None:
-                if tuple(cuboid_set.shape) != base.shape:
-                    raise ValueError(
-                        f"cuboid_set shape {cuboid_set.shape} does not "
-                        f"match cube shape {base.shape}"
-                    )
-                expected = np.asarray(cuboid_set.base)
-                equal_nan = (
-                    base.dtype.kind == "f" and expected.dtype.kind == "f"
+            base = (
+                np.array(cube, copy=True)
+                if cuboid_set is None
+                else cuboid_set.base
+            )
+            held_counts = (
+                None if counts is None else np.array(counts, copy=True)
+            )
+        if cube is not None and (
+            prebuilt is not None or cuboid_set is not None
+        ):
+            _check_same_cells(cube, base, "cube=")
+        if prebuilt is not None and counts is not None:
+            if held_counts is None:
+                raise ValueError(
+                    "counts= was given but the engine was built without "
+                    "a counts cube"
                 )
-                if not np.array_equal(base, expected, equal_nan=equal_nan):
-                    raise ValueError(
-                        "cuboid_set was built over different data than "
-                        "cube= — the tiers would silently disagree; "
-                        "register with cuboid_set= alone to adopt the "
-                        "set's own base"
-                    )
-        held_counts = (
-            None if counts is None else np.array(counts, copy=True)
-        )
+            _check_same_cells(counts, held_counts, "counts=")
+        if cuboid_set is not None:
+            if cuboid_set.base is not base:
+                _check_same_cells(cuboid_set.base, base, "cuboid_set")
+            # The served cube owns the base from here on: it writes each
+            # update once and the set maintains only its cuboids.
+            cuboid_set.rebase(base)
         counter = AccessCounter()
         if engine is _UNSET:
             kwargs: dict[str, Any] = {
                 "sum_params": sum_params,
                 "max_params": max_params,
                 "counts": held_counts,
-                "backend": backend,
+                "backend": AdoptingBackend(owner),
                 "counter": counter,
             }
             if sum_index is not None:
@@ -320,23 +342,17 @@ class QueryService:
             if max_index is not _UNSET:
                 kwargs["max_index"] = max_index
             engine = RangeQueryEngine(base, **kwargs)
-        elif engine is not None:
-            if tuple(engine.shape) != base.shape:
-                raise ValueError(
-                    f"engine shape {engine.shape} does not match cube "
-                    f"shape {base.shape}"
-                )
-            counter = engine.counter
+        elif prebuilt is not None:
+            counter = prebuilt.counter
         cuboids = cuboid_set
         if plan is not None:
             # The initial plan gets its own subscope (generation 0) just
             # like every adaptive rebuild will, so a later swap can
             # release it without touching the engine's arrays.
-            plan_backend = (
-                None if backend is None else backend.subscope("design-g0")
-            )
             cuboids = MaterializedCuboidSet(
-                base, plan, backend=plan_backend
+                base,
+                plan,
+                backend=AdoptingBackend(owner.subscope("design-g0")),
             )
         served = ServedCube(
             name=name,
@@ -461,10 +477,12 @@ class QueryService:
         """Apply point deltas to every tier and bump the generation.
 
         ``{cube, updates: [{index, delta}], count_updates?}``.  The
-        engine's §5/§7 batch-update machinery, the materialized plan,
-        and the retained base cube all absorb the same merged deltas, so
-        the tiers stay mutually consistent; the generation bump plus an
-        eager sweep invalidate the result cache.
+        batch is written into the one base cube once; then the engine's
+        §5/§7 machinery and the materialized plan maintain their derived
+        arrays from the same merged deltas, so the tiers stay mutually
+        consistent; the generation bump plus an eager sweep invalidate
+        the result cache.  A delta whose cell would overflow its dtype
+        is a 400 and changes nothing.
         """
         cube = self._cube(payload.get("cube"))
         updates = _parse_updates(payload.get("updates"), cube.shape)
@@ -839,35 +857,31 @@ class QueryService:
         updates: list[PointUpdate],
         count_updates: list[PointUpdate] | None,
     ) -> dict:
-        # Reject deltas the retained cubes cannot absorb BEFORE touching
-        # any tier: numpy 2.x raises at assignment time (e.g. a negative
-        # delta into an unsigned cube), and failing after the engine and
-        # cuboids already applied would leave the tiers permanently
-        # disagreeing.  The dry run replays the exact sequential
-        # ``base[index] += delta`` loop on throwaway one-cell copies.
-        _check_deltas_fit(cube.base, updates, "updates")
-        if count_updates is not None and cube.counts is not None:
-            _check_deltas_fit(cube.counts, count_updates, "count_updates")
-
         def run() -> None:
+            # The base (and counts) is written once: by the engine, which
+            # builds every route over it, or here when there is none.
+            # Either way the batch is staged against the cells it finds
+            # under this write lock and rejected before the first write
+            # when some cell cannot hold its exact new value.  The
+            # materialized set never writes the served base; it
+            # maintains only its cuboids.
             if cube.engine is not None:
                 cube.engine.apply_updates(updates, count_updates)
+            else:
+                staged = [(cube.base, stage_changes(cube.base, updates))]
+                if count_updates is not None and cube.counts is not None:
+                    staged.append(
+                        (
+                            cube.counts,
+                            stage_changes(
+                                cube.counts, count_updates, "count update"
+                            ),
+                        )
+                    )
+                for target, changes in staged:
+                    write_cells(target, changes.flat, changes.new)
             if cube.cuboids is not None:
                 cube.cuboids.apply_updates(updates)
-            # An adopted base (register_cube(cuboid_set=...) with no
-            # cube=) IS the set's own base array, which apply_updates
-            # above already incremented — writing it again here would
-            # double every delta in the fallback tier.  The aliasing is
-            # re-checked per batch because a hot swap installs a set
-            # built from a snapshot *copy*, un-sharing the base.
-            if cube.cuboids is None or not np.may_share_memory(
-                cube.base, cube.cuboids.base
-            ):
-                for update in updates:
-                    cube.base[update.index] += update.delta
-            if count_updates is not None and cube.counts is not None:
-                for update in count_updates:
-                    cube.counts[update.index] += update.delta
 
         # The write lock drains in-flight offloaded/coalesced reads
         # first, so no reader can observe the tiers torn mid-batch; the
@@ -882,12 +896,13 @@ class QueryService:
                 # between recording and replay is total).
                 if cube.pending_design_updates is not None:
                     cube.pending_design_updates.extend(updates)
+            except UnfitUpdate as exc:
+                # Rejected while staging, before any tier was written.
+                raise BadRequest(str(exc)) from exc
             except Exception as exc:
-                # The dry run above makes anticipated dtype/overflow
-                # failures unreachable here; anything that still raises
-                # may have torn the tiers mid-batch, so quarantine the
-                # cube rather than serve answers that depend on which
-                # tier a query routes to.
+                # Anything else may have torn the tiers mid-batch, so
+                # quarantine the cube rather than serve answers that
+                # depend on which tier a query routes to.
                 cube.healthy = False
                 cube.generation += 1
                 self.cache.invalidate_cube(cube.name)
@@ -1127,33 +1142,22 @@ def _parse_region(
     return rq, box
 
 
-def _check_deltas_fit(
-    target: np.ndarray,
-    updates: Sequence[PointUpdate],
-    what: str,
+def _check_same_cells(
+    given: np.ndarray, base: np.ndarray, what: str
 ) -> None:
-    """Dry-run ``target[index] += delta`` on one-cell copies.
-
-    Replays the update loop's exact in-place assignment semantics
-    (including numpy 2.x's OverflowError on e.g. a negative delta into
-    an unsigned dtype, with duplicate cells accumulating sequentially)
-    without touching ``target``, so a rejected batch leaves every tier
-    untouched and comes back as a clean 400.
-    """
-    staged: dict[tuple[int, ...], np.ndarray] = {}
-    for position, update in enumerate(updates):
-        probe = staged.get(update.index)
-        if probe is None:
-            probe = np.empty(1, dtype=target.dtype)
-            probe[0] = target[update.index]
-            staged[update.index] = probe
-        try:
-            probe[0] += update.delta
-        except (ValueError, TypeError, OverflowError) as exc:
-            raise BadRequest(
-                f"{what}[{position}]: delta {update.delta!r} cannot be "
-                f"applied to a cell of dtype {target.dtype}: {exc}"
-            ) from exc
+    """Reject registering tiers built over different data than ``base``."""
+    given = np.asarray(given)
+    if given.shape != base.shape:
+        raise ValueError(
+            f"{what} shape {given.shape} does not match the served "
+            f"cube's shape {base.shape}"
+        )
+    equal_nan = given.dtype.kind == "f" and base.dtype.kind == "f"
+    if not np.array_equal(given, base, equal_nan=equal_nan):
+        raise ValueError(
+            f"{what} covers different data than the cube's other tiers "
+            "— they would silently disagree"
+        )
 
 
 def _parse_updates(

@@ -463,6 +463,9 @@ def _run_engine_phase(scenario: Scenario) -> dict | None:
         sums = engine.sum_many(lows, highs)
         tallies = engine.count_many(lows, highs)
         averages = engine.average_many(lows, highs)
+        # MAX/MIN have no identity: the empty last row is theirs to skip.
+        _, tops = engine.max_many(lows[:-1], highs[:-1])
+        _, bottoms = engine.min_many(lows[:-1], highs[:-1])
         for k, box in enumerate(boxes):
             window = shadow[box.slices()]
             denominator = int(count_shadow[box.slices()].sum())
@@ -474,6 +477,9 @@ def _run_engine_phase(scenario: Scenario) -> dict | None:
                 ("count_many", denominator, tallies[k]),
                 ("average_many", expected_average, averages[k]),
             ]
+            if window.size:
+                rows.append(("max_many", window.max(), tops[k]))
+                rows.append(("min_many", window.min(), bottoms[k]))
             for kind, expected, actual in rows:
                 detail = diff(kind, box, expected, actual)
                 if detail is not None:
@@ -506,4 +512,70 @@ def _run_engine_phase(scenario: Scenario) -> dict | None:
             count_updates.append(PointUpdate(point, 1))
         engine.apply_updates(updates, count_updates)
         detail = probe() or probe_batch()
-    return detail
+    return detail or _probe_extremes(scenario, rng)
+
+
+def _probe_extremes(
+    scenario: Scenario, rng: np.random.Generator
+) -> dict | None:
+    """MAX/MIN through the engine on a cube holding its dtype's extremes
+    (bool: False and True; floats: ``finfo.min`` / ``finfo.max``), scalar and batch,
+    before and after an update moving both planted cells inward by one.
+    Kept apart from the sum probes, whose shadow would overflow."""
+    from repro.index.registry import IndexSpec
+    from repro.query.engine import RangeQueryEngine
+
+    dtype = np.dtype(scenario.dtype)
+    if dtype == np.bool_:
+        planted: tuple = (False, True)
+    else:
+        limits = (np.finfo if dtype.kind == "f" else np.iinfo)(dtype)
+        planted = (limits.min, limits.max)
+    shadow = build_source(scenario)
+    cells = [
+        tuple(int(i) for i in np.unravel_index(flat, shadow.shape))
+        for flat in rng.permutation(shadow.size)[:2]
+    ]
+    for cell, value in zip(cells, planted):
+        shadow[cell] = value
+    with np.errstate(over="ignore", invalid="ignore"):
+        # The sum route's prefix sums overflow here; only MAX/MIN are read.
+        engine = RangeQueryEngine(
+            shadow,
+            sum_index=IndexSpec.of(scenario.index, **scenario.param_dict()),
+            max_index=IndexSpec.of("range_max_tree", fanout=4),
+        )
+    boxes = [_random_box(rng, scenario.shape) for _ in range(3)]
+    boxes.append(Box((0,) * shadow.ndim, tuple(n - 1 for n in shadow.shape)))
+    lows = np.array([box.lo for box in boxes])
+    highs = np.array([box.hi for box in boxes])
+    profile = get_index_info(scenario.index).fuzz_profile
+    updates = [PointUpdate(cells[0], 1), PointUpdate(cells[-1], -1)]
+    for stage in ("built", "updated"):
+        if stage == "updated":
+            if len(cells) < 2 or not updates_allowed(
+                profile.supports_updates, scenario.dtype, "sum"
+            ):
+                return None
+            engine.apply_updates(updates)
+            for update in updates:
+                shadow[update.index] += update.delta
+        _, tops = engine.max_many(lows, highs)
+        _, bottoms = engine.min_many(lows, highs)
+        for k, box in enumerate(boxes):
+            window = shadow[box.slices()]
+            for kind, expected, actual in (
+                ("max", window.max(), engine.max(box)[1]),
+                ("min", window.min(), engine.min(box)[1]),
+                ("max_many", window.max(), tops[k]),
+                ("min_many", window.min(), bottoms[k]),
+            ):
+                if not values_match(actual, expected):
+                    return {
+                        "kind": f"engine_extremes_{kind}",
+                        "stage": stage,
+                        "box": _box_payload(box),
+                        "expected": repr(expected),
+                        "actual": repr(actual),
+                    }
+    return None

@@ -247,3 +247,52 @@ class TestFloatUpdates:
         tree = RangeMaxTree(cube, 4)
         box = Box((2, 3), (12, 13))
         assert cube[tree.max_index(box)] == cube[2:13, 3:14].max()
+
+
+class TestMinOrder:
+    """``order="min"``: the same tree keeping each node's minimum."""
+
+    def test_min_tree_matches_naive_through_updates_and_persistence(
+        self, rng
+    ):
+        import io
+
+        from repro.core.batch_update import PointUpdate
+        from repro.io import load_index, save_index
+
+        cube = make_cube((17, 11), rng, low=-500, high=500)
+        tree = RangeMaxTree(cube, fanout=3, order="min")
+        mirror = cube.copy()
+        for _ in range(4):
+            updates = [
+                PointUpdate(
+                    (int(rng.integers(0, 17)), int(rng.integers(0, 11))),
+                    int(rng.integers(-300, 300)),
+                )
+                for _ in range(12)
+            ]
+            tree.apply_updates(updates)
+            for update in updates:
+                mirror[update.index] += update.delta
+            buffer = io.BytesIO()
+            save_index(tree, buffer)
+            buffer.seek(0)
+            clone = load_index(buffer)
+            assert clone.order.name == "min"
+            rebuilt = RangeMaxTree(mirror, fanout=3, order="min")
+            for level in range(1, tree.height + 1):
+                assert np.array_equal(tree.values[level], rebuilt.values[level])
+            for _ in range(25):
+                box = random_box(mirror.shape, rng)
+                want = mirror[box.slices()].min()
+                for index_of in (tree, clone):
+                    index, value = index_of.query(box)
+                    assert value == want and mirror[index] == want
+                _, batch = tree.query_many(
+                    np.array([box.lo]), np.array([box.hi])
+                )
+                assert batch[0] == want
+
+    def test_unknown_order_rejected(self, rng):
+        with pytest.raises(ValueError, match="order"):
+            RangeMaxTree(make_cube((4, 4), rng), fanout=2, order="median")

@@ -185,6 +185,31 @@ class TestMaintenance:
         served.apply_updates([PointUpdate((0, 0, 0), 100)])
         assert np.array_equal(cube, original)
 
+    def test_fallback_reads_updated_base(self, cube):
+        """A standalone set writes its own base once per update, so the
+        scan no cuboid covers sees the deltas too."""
+        from repro.core.batch_update import PointUpdate
+
+        original = cube.copy()
+        served = MaterializedCuboidSet(
+            cube, [Materialization((0, 1), 2, 0.0)]
+        )
+        updates = [
+            PointUpdate((1, 2, 3), 5),
+            PointUpdate((1, 2, 3), -2),
+            PointUpdate((39, 29, 7), 4),
+        ]
+        served.apply_updates(updates)
+        mirror = original.copy()
+        for update in updates:
+            mirror[update.index] += update.delta
+        query = RangeQuery(
+            (RangeSpec.all(), RangeSpec.all(), RangeSpec.between(3, 7))
+        )
+        assert served.route(query) is None
+        assert served.range_sum(query) == brute_force(mirror, query)
+        assert np.array_equal(cube, original)
+
     def test_empty_cuboid_rejected(self, cube):
         with pytest.raises(ValueError, match="empty cuboid"):
             MaterializedCuboidSet(cube, [Materialization((), 1, 0.0)])

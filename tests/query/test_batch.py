@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from repro._util import Box, full_box
+from repro.core.batch_update import PointUpdate
 from repro.core.blocked import VECTORIZED_MIN_ROWS, BlockedPrefixSumCube
 from repro.core.blocked import BlockedPartialPrefixSumCube
 from repro.core.operators import SUM, XOR
@@ -450,6 +451,66 @@ class TestMinUnsignedRegression:
             _, highest = engine.max(Box((0, 0), (3, 3)))
         assert lowest == 0
         assert highest == 1
+
+    @staticmethod
+    def _planted(dtype, rng):
+        """A (7, 6) cube of ``dtype`` holding its dtype's extremes."""
+        shape = (7, 6)
+        if dtype == np.bool_:
+            return rng.integers(0, 2, size=shape).astype(bool)
+        if dtype == np.uint64:
+            # Cells at and above 2**63 have no exact int64/float64 home.
+            offsets = rng.integers(0, 1000, size=shape).astype(np.uint64)
+            cube = np.uint64(2**63) + offsets
+            cube[3, 2] = np.uint64(2**63 + 1)
+            cube[5, 5] = np.iinfo(np.uint64).max
+            return cube
+        info = np.iinfo(dtype)
+        cube = rng.integers(-100, 100, size=shape).astype(dtype)
+        cube[1, 4] = info.min
+        cube[6, 0] = info.max
+        return cube
+
+    @pytest.mark.parametrize(
+        "dtype",
+        [np.int8, np.int16, np.int32, np.int64, np.uint64, np.bool_],
+    )
+    def test_dtype_extremes_exact(self, dtype, rng):
+        """MIN and MAX equal the numpy reduce of the box exactly — at the
+        dtype's extremes, on uint64 cells beyond 2**63 (as Python ints)
+        and on bool — scalar and batch, before and after an update."""
+        cube = self._planted(dtype, rng)
+        mirror = cube.copy()
+        engine = RangeQueryEngine(cube, max_index=_max_tree(2))
+        boxes = [full_box(cube.shape)] + [
+            random_box(cube.shape, rng) for _ in range(40)
+        ]
+        lows, highs = boxes_to_arrays(boxes, cube.shape)
+
+        def check() -> None:
+            _, tops = engine.max_many(lows, highs)
+            _, bottoms = engine.min_many(lows, highs)
+            for k, box in enumerate(boxes):
+                window = mirror[box.slices()]
+                index, lowest = engine.min(box)
+                _, highest = engine.max(box)
+                assert lowest == window.min() and mirror[index] == lowest
+                assert highest == window.max()
+                assert bottoms[k] == window.min()
+                assert tops[k] == window.max()
+                if dtype == np.uint64:
+                    assert type(lowest) is int and type(highest) is int
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            check()
+            # Raise the smallest cell by one: it stays inside the dtype
+            # (bool: False becomes True) and moves both trees.
+            low = np.unravel_index(int(np.argmin(mirror)), cube.shape)
+            low = tuple(int(i) for i in low)
+            engine.apply_updates([PointUpdate(low, 1)])
+            mirror[low] += 1
+            check()
 
 
 class TestPythonScalarReturns:

@@ -344,9 +344,9 @@ class TestUpdate:
 
     def test_adopted_base_update_applies_once(self) -> None:
         """register_cube(cuboid_set=...) with no cube= adopts the set's
-        own base array; the set's apply_updates already writes it, so
-        the service must not add each delta a second time — the
-        fallback tier would permanently diverge from the materialized
+        own base array, and every later set reads the served base too;
+        the base is written once per update — a second write would
+        permanently diverge the fallback tier from the materialized
         one after the first update."""
         from repro.ingest import (
             IngestPlan,
@@ -370,7 +370,7 @@ class TestUpdate:
             engine=None,
             backend=result.backend,
         )
-        assert np.may_share_memory(served.base, result.cuboid_set.base)
+        assert np.shares_memory(served.base, result.cuboid_set.base)
         shifted = data.copy()
 
         async def push(index, delta) -> None:
@@ -401,19 +401,35 @@ class TestUpdate:
             await push((1, 2, 3), 11)
             await check_tiers_agree()
             assert served.base[1, 2, 3] == shifted[1, 2, 3]
-            # A hot swap installs a set built from a snapshot *copy*:
-            # the base un-shares and the service must resume writing it.
-            served.cuboids = MaterializedCuboidSet(
-                np.asarray(served.base), plan.cuboids
-            )
-            assert not np.may_share_memory(
-                served.base, served.cuboids.base
-            )
+            # A hot swap builds the new set from a snapshot copy, then
+            # rebases it onto the served base: the base stays one array,
+            # written once per update.
+            rebuilt = MaterializedCuboidSet(served.base.copy(), plan.cuboids)
+            rebuilt.rebase(served.base)
+            served.cuboids = rebuilt
+            assert np.shares_memory(served.base, served.cuboids.base)
             await push((0, 0, 0), -4)
             await check_tiers_agree()
             assert served.base[0, 0, 0] == shifted[0, 0, 0]
 
         run(scenario())
+
+    def test_prebuilt_engine_counts_must_match(self, data) -> None:
+        """counts= beside engine= must be the counts the engine holds:
+        the served cube answers COUNT and takes count_updates from it."""
+        service = QueryService(ServeConfig(coalesce_window_s=0.0))
+        ones = np.ones_like(data)
+        with pytest.raises(ValueError, match="without a counts cube"):
+            service.register_cube(
+                "c", data, engine=RangeQueryEngine(data), counts=ones
+            )
+        engine = RangeQueryEngine(data, counts=ones)
+        with pytest.raises(ValueError, match="different data"):
+            service.register_cube(
+                "c", data, engine=engine, counts=ones + 1
+            )
+        served = service.register_cube("c", data, engine=engine, counts=ones)
+        assert served.counts is engine.counts
 
     def test_cuboid_set_over_different_data_rejected(self, data) -> None:
         """cube= plus cuboid_set= must cover the same data; a set built
@@ -428,6 +444,44 @@ class TestUpdate:
             service.register_cube("c", data, cuboid_set=stale)
         matching = MaterializedCuboidSet(data, plan)
         service.register_cube("c", data, cuboid_set=matching)
+
+    def test_updates_overflowing_only_together_queued_on_a_read(
+        self,
+    ) -> None:
+        """Two batches that each fit an int8 cell but not together, both
+        waiting on an in-flight read: each is staged under the write
+        lock against the cell it finds, so the second is a 400 and the
+        cube stays healthy (not quarantined mid-apply)."""
+        service = QueryService(ServeConfig(coalesce_window_s=0.0))
+        cube = service.register_cube(
+            "c",
+            np.full((4, 4), 100, dtype=np.int8),
+            plan=[Materialization((0,), 1, 0.0)],
+        )
+        payload = {"cube": "c", "updates": [{"index": [0, 0], "delta": 20}]}
+
+        async def scenario() -> list:
+            async with cube.rwlock.read_locked():
+                pending = [
+                    asyncio.ensure_future(service.update(payload))
+                    for _ in range(2)
+                ]
+                await asyncio.sleep(0.05)
+                assert not any(task.done() for task in pending)
+            return await asyncio.gather(*pending, return_exceptions=True)
+
+        outcomes = run(scenario())
+        assert sum(isinstance(o, dict) for o in outcomes) == 1
+        assert sum(isinstance(o, BadRequest) for o in outcomes) == 1
+        assert cube.healthy
+        assert cube.base[0, 0] == 120
+        for op in ("sum", "max", "min"):
+            answer = run(
+                service.query(
+                    {"cube": "c", "op": op, "ranges": [[0, 0], [0, 0]]}
+                )
+            )
+            assert answer["value"] == 120, op
 
     def test_update_validation(self, service) -> None:
         with pytest.raises(BadRequest):
@@ -461,6 +515,74 @@ class TestUpdate:
                     }
                 )
             )
+
+    @pytest.mark.parametrize(
+        "dtype,fill,deltas",
+        [
+            (np.int8, 100, [100]),
+            (np.uint8, 200, [100]),
+            # Each delta fits; only their sum on the one cell overflows.
+            (np.int8, 100, [20, 20]),
+            (np.uint8, 200, [30, 30]),
+            # numpy saturates a bool cell (True + 1 stays True).
+            (np.bool_, True, [1]),
+            # No float64 holds this delta at all.
+            (np.float64, 1.5, [10**400]),
+        ],
+    )
+    def test_overflowing_update_rejected(self, dtype, fill, deltas) -> None:
+        """A delta whose exact result does not fit the cell dtype is a
+        400 and leaves every tier untouched (numpy would wrap the base
+        cell while the int64 prefix arrays add exactly)."""
+        data = np.full((4, 4), fill, dtype=dtype)
+        service = QueryService(ServeConfig(coalesce_window_s=0.0))
+        service.register_cube(
+            "c", data, plan=[Materialization((0,), 1, 0.0)]
+        )
+        total = int(data.sum())
+
+        async def scenario() -> None:
+            with pytest.raises(BadRequest):
+                await service.update(
+                    {
+                        "cube": "c",
+                        "updates": [
+                            {"index": [0, 0], "delta": d} for d in deltas
+                        ],
+                    }
+                )
+            cube = service.cubes["c"]
+            assert cube.generation == 0 and cube.healthy
+            assert np.array_equal(cube.base, data)
+            indexed = await service.query({"cube": "c", "ranges": [0, 0]})
+            assert indexed["tier"] == "indexed"
+            assert indexed["value"] == fill
+            materialized = await service.query(
+                {"cube": "c", "ranges": [[0, 3], None]}
+            )
+            assert materialized["tier"] == "materialized"
+            assert materialized["value"] == total
+            for op in ("max", "min"):
+                answer = await service.query(
+                    {"cube": "c", "op": op, "ranges": [None, None]}
+                )
+                assert answer["value"] == fill
+
+        run(scenario())
+
+    def test_int8_min_at_dtype_floor(self) -> None:
+        """/query op=min over an int8 cube holding -128 answers -128 at
+        the cell that holds it (MAX over a negated cube wrapped it)."""
+        data = np.arange(16, dtype=np.int8).reshape(4, 4)
+        data[2, 1] = -128
+        service = QueryService(ServeConfig(coalesce_window_s=0.0))
+        service.register_cube("c", data)
+        answer = run(
+            service.query({"cube": "c", "op": "min", "ranges": [None, None]})
+        )
+        assert answer["tier"] == "indexed"
+        assert answer["value"] == -128
+        assert answer["index"] == [2, 1]
 
     def test_rejected_update_leaves_every_tier_untouched(self) -> None:
         """An inapplicable delta must 400 before any tier mutates.
