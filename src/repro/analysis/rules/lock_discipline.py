@@ -19,7 +19,8 @@ Three checks, all scoped to ``repro/serving``:
   invokes that parameter under the lock — ``ServingService._run_read``
   is the canonical one), or in a function whose every resolved call
   site is itself under the lock.
-* **Mutations** (``apply_updates`` call sites in those files, plus every
+* **Mutations** (``apply_updates`` / ``write_batch`` call sites in those
+  files, plus every
   ``.generation`` bump and ``invalidate_cube(...)`` call anywhere in
   serving) must be under the *write* side, by the same lexical or
   interprocedural reasoning (the nested ``run()`` closure invoked
@@ -48,7 +49,7 @@ WRITE_LOCKS = frozenset({"write_locked"})
 #: Tier computations that must hold (at least) the read side.
 READ_CALLS = frozenset({"run_scalar", "run_batch"})
 #: Tier mutations that must hold the write side.
-WRITE_CALLS = frozenset({"apply_updates"})
+WRITE_CALLS = frozenset({"apply_updates", "write_batch"})
 
 AnyFunction = ast.FunctionDef | ast.AsyncFunctionDef
 

@@ -3,11 +3,12 @@
 The registry (:mod:`repro.index.registry`) records *claims* about each
 index: its ``kind`` decides which protocol it must satisfy, the
 ``persistable`` flag promises ``state_dict``/``from_state``, and a
-``FuzzProfile(supports_updates=True)`` promises a real
-``apply_updates``.  The protocol mixins deliberately ship *abstract*
-placeholders for those three (they raise ``NotImplementedError``), so a
-class can register capabilities it never implements and nothing fails
-until the differential harness — or a user — exercises the gap.
+``FuzzProfile(supports_updates=True)`` promises a real ``absorb`` (what
+the mixins' ``apply_updates`` drives) or an own ``apply_updates``.  The
+protocol mixins deliberately ship *abstract* placeholders for those
+(they raise ``NotImplementedError``), so a class can register
+capabilities it never implements and nothing fails until the
+differential harness — or a user — exercises the gap.
 
 This rule cross-references each ``@register_index`` class against the
 actual source of ``repro/index/protocol.py`` (parsed, not imported):
@@ -78,7 +79,7 @@ class RegistryContractRule(Rule):
         "@register_index classes must statically implement the protocol "
         "surface (per kind) and the capabilities their registration "
         "declares (persistable -> state_dict/from_state, "
-        "FuzzProfile.supports_updates -> apply_updates)"
+        "FuzzProfile.supports_updates -> absorb or an own apply_updates)"
     )
 
     def check(self, context: LintContext) -> Iterator[Violation]:
@@ -113,8 +114,8 @@ class RegistryContractRule(Rule):
                 name
                 for name in sorted(required)
                 # apply_updates is capability-gated below: the _IndexBase
-                # default (raise NotImplementedError) is the *declared*
-                # behaviour of a read-only index.
+                # path ends in ``absorb``, whose NotImplementedError
+                # default is the *declared* behaviour of a read-only index.
                 if name != "apply_updates" and name not in provided
             )
 
@@ -136,8 +137,11 @@ class RegistryContractRule(Rule):
             supports_updates = constant_bool(
                 keyword_value(profile, "supports_updates"), default=True
             )
-            if supports_updates and "apply_updates" not in provided:
-                missing.append("apply_updates")
+            own = {s.name for s in cls.body if isinstance(s, ast.FunctionDef)}
+            if supports_updates and "apply_updates" not in own:
+                missing += [
+                    n for n in ("apply_updates", "absorb") if n not in provided
+                ]
 
         if missing:
             unique = sorted(set(missing))

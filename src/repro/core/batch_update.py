@@ -21,12 +21,17 @@ The partition is the paper's recursion on ``d``:
 The blocked variant (§5.2) first contracts updates block-wise — one
 combined delta per touched ``b^d`` block — then runs the same algorithm on
 the contracted index space against the blocked prefix array.
+
+Every holder of a cube takes a batch one way: :func:`write_batch` stages
+it (every cell's exact new value must fit) and writes the cube once, then
+each structure's ``absorb`` maintains only its derived arrays.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
+from operator import add, mul, xor
 from typing import Any
 
 import numpy as np
@@ -65,12 +70,16 @@ def combine_duplicate_updates(
     The paper assumes distinct locations "for clarity"; merging first makes
     the batch algorithm insensitive to that restriction.
     """
+    return _merge(updates, operator.apply)
+
+
+def _merge(
+    updates: Sequence[PointUpdate], apply: Callable[[Any, Any], Any]
+) -> list[PointUpdate]:
     merged: dict[tuple[int, ...], object] = {}
     for update in updates:
         if update.index in merged:
-            merged[update.index] = operator.apply(
-                merged[update.index], update.delta
-            )
+            merged[update.index] = apply(merged[update.index], update.delta)
         else:
             merged[update.index] = update.delta
     return [PointUpdate(index, delta) for index, delta in merged.items()]
@@ -82,80 +91,146 @@ class UnfitUpdate(ValueError):
 
 @dataclass(frozen=True)
 class CellChanges:
-    """An additive batch staged against its cube: per distinct cell, the
-    merged delta (``updates``, what §5 partitions), its flat index, and
-    its pre- and post-batch values in the cube's dtype (what §7 repairs
-    from — a shared cube no longer holds the old value once written)."""
+    """A batch staged against its cube: per distinct cell, the merged
+    delta (``updates``, what §5 partitions), its flat index, and its pre-
+    and post-batch values in the cube's dtype (what §7 maintains from;
+    ``None`` when no cube was read, see :func:`merge_changes`)."""
 
     updates: list[PointUpdate]
     flat: np.ndarray
-    old: np.ndarray
-    new: np.ndarray
+    old: np.ndarray | None = None
+    new: np.ndarray | None = None
+
+
+#: Python's unbounded counterparts of the shipped ``⊕`` ufuncs: an
+#: integer batch is replayed in them, so no step can wrap unseen.
+_EXACT: dict[object, Callable[[Any, Any], Any]] = {
+    np.add: add, np.bitwise_xor: xor, np.multiply: mul,
+}
+
+
+def merge_changes(
+    updates: Sequence[PointUpdate],
+    shape: Sequence[int],
+    operator: InvertibleOperator = SUM,
+) -> CellChanges:
+    """Merge a delta batch per cell and check its indices (else
+    :class:`UnfitUpdate`), reading no cube: all derived arrays need when
+    the cube's owner wrote it, or the structure keeps none."""
+    from repro.kernels.segments import flatten_updates
+
+    merged = combine_duplicate_updates(updates, operator)
+    try:
+        flat, _ = flatten_updates(merged, tuple(shape))
+    except ValueError as exc:
+        raise UnfitUpdate(f"updates: {exc}") from exc
+    return CellChanges(merged, flat)
 
 
 def stage_changes(
-    cube: np.ndarray, updates: Sequence[PointUpdate], what: str = "update"
+    cube: np.ndarray,
+    updates: Sequence[PointUpdate],
+    what: str = "update",
+    operator: InvertibleOperator | None = SUM,
 ) -> CellChanges:
-    """Merge an additive delta batch and read its cells once, unwritten.
+    """Merge a batch with ``operator`` and read its cells once, unwritten.
 
-    On an integer or bool cube the batch is replayed in order in exact
+    Each distinct cell's new value is ``old ⊕ merged``; with
+    ``operator=None`` the batch assigns values instead (§7's
+    ``⟨index, value⟩`` points: the last one per cell wins).  On an
+    integer or bool cube the batch is replayed in order in exact
     arithmetic: every running cell value must stay integral and inside
-    the dtype, and on an integer cube every delta must itself be a
-    value of the dtype (an unsigned cell never takes a negative delta).
-    numpy would wrap or saturate such cells silently, while the wider
-    prefix arrays would not.
+    the dtype, and on an integer cube every delta must itself be a value
+    of the dtype (an unsigned cell never takes a negative delta).  numpy
+    would wrap or saturate such cells silently, while the wider prefix
+    arrays would not.
 
     Raises:
         UnfitUpdate: An index of the wrong arity or outside ``cube``, or
             a delta those checks reject (``what`` names the batch).
     """
-    from repro.kernels.segments import flatten_updates
-
-    merged = combine_duplicate_updates(updates)
-    try:
-        flat, _ = flatten_updates(merged, cube.shape)
-    except ValueError as exc:
-        raise UnfitUpdate(f"{what}s: {exc}") from exc
-    old = np.take(cube, flat)
     kind = cube.dtype.kind
-    if kind not in "biu":
+    exact = kind in "biu"
+    apply: Callable[[Any, Any], Any] = (
+        (lambda old, new: new) if operator is None
+        else _EXACT.get(operator.apply, operator.apply) if exact
+        else operator.apply
+    )
+    if exact:  # deltas as the Python numbers they hold
+        updates = [PointUpdate(u.index, np.asarray(u.delta).item()) for u in updates]
+    staged = _merge(updates, apply)
+    flat = merge_changes(staged, cube.shape).flat
+    old = np.take(cube, flat)
+    if not exact:
         try:
-            deltas = np.asarray([u.delta for u in merged]).astype(cube.dtype)
-        except (TypeError, OverflowError) as exc:
+            deltas = np.asarray([u.delta for u in staged]).astype(cube.dtype)
+        except (TypeError, ValueError, OverflowError) as exc:
             raise UnfitUpdate(f"{what}s: {exc}") from exc
-        return CellChanges(merged, flat, old, old + deltas)
+        new = np.asarray(apply(old, deltas)).astype(cube.dtype)
+        return CellChanges(staged, flat, old, new)
     lo, hi = (0, 1) if kind == "b" else (
         int(np.iinfo(cube.dtype).min), int(np.iinfo(cube.dtype).max)
     )
-    running = {u.index: value for u, value in zip(merged, old.tolist())}
+    running = {u.index: value for u, value in zip(staged, old.tolist())}
     for position, update in enumerate(updates):
         delta: Any = update.delta
-        if isinstance(delta, np.generic):
-            delta = delta.item()
-        value = running[update.index] + delta
+        value = apply(running[update.index], delta)
         integral = not isinstance(value, float) or value.is_integer()
         if not (
             integral and lo <= value <= hi and (kind == "b" or lo <= delta <= hi)
         ):
             raise UnfitUpdate(
                 f"{what} {position}: a {cube.dtype} cell at {update.index} "
-                f"cannot take delta {delta!r} (running value {value!r}; "
+                f"cannot take {delta!r} (running value {value!r}; "
                 f"the dtype holds integers in [{lo}, {hi}])"
             )
         running[update.index] = int(value)
-    new = np.array([running[u.index] for u in merged], dtype=cube.dtype)
-    return CellChanges(merged, flat, old, new)
+    new = np.array([running[u.index] for u in staged], dtype=cube.dtype)
+    return CellChanges(staged, flat, old, new)
 
 
-def write_cells(cube: np.ndarray, flat: np.ndarray, values: np.ndarray) -> None:
-    """Write ``values`` into ``cube``'s flat (C-order) cells: an update's
-    one write of its cube, synced to disk when ``cube`` is memory-mapped."""
+def write_batch(
+    cube: np.ndarray,
+    updates: Sequence[PointUpdate],
+    counts: np.ndarray | None = None,
+    count_updates: Sequence[PointUpdate] | None = None,
+    operator: InvertibleOperator | None = SUM,
+) -> tuple[CellChanges, CellChanges | None]:
+    """The one write of a cube ``A`` (and its record ``counts``): stage
+    both batches (:func:`stage_changes`; counts add), so a rejected one
+    raises :class:`UnfitUpdate` before either array changes, then write
+    each once (synced when memory-mapped) and return the changes."""
     from repro.index.backend import _backing_memmap
 
-    np.put(cube, flat, values)
-    backing = _backing_memmap(cube)
-    if backing is not None:
-        backing.flush()
+    what = "update" if operator is not None else "assignment"
+    changes = stage_changes(cube, updates, what, operator)
+    count_changes = None
+    if count_updates is not None:
+        if counts is None:
+            raise ValueError("count updates on a holder built without a counts cube")
+        count_changes = stage_changes(counts, count_updates, "count update")
+    for target, staged in ((cube, changes), (counts, count_changes)):
+        if target is not None and staged is not None:
+            assert staged.new is not None
+            np.put(target, staged.flat, staged.new)
+            backing = _backing_memmap(target)
+            if backing is not None:
+                backing.flush()
+    return changes, count_changes
+
+
+def typed_updates(
+    updates: Sequence[PointUpdate], dtype: np.dtype
+) -> list[PointUpdate]:
+    """``updates`` with every delta in ``dtype``, integers wrapping modulo
+    its width like the array they are ``⊕``-ed into (a Python ``int``
+    beside a ``uint64`` array would make it ``float64``)."""
+    deltas: Any = [u.delta for u in updates]
+    if np.dtype(dtype).kind in "iu":
+        modulus = 1 << (8 * np.dtype(dtype).itemsize)
+        deltas = np.array([int(d) % modulus for d in deltas], dtype=np.uint64)
+    typed = np.asarray(deltas).astype(dtype)
+    return [PointUpdate(u.index, d) for u, d in zip(updates, typed)]
 
 
 def partition_updates(

@@ -43,7 +43,7 @@ from collections.abc import Iterator, Sequence
 from typing import TYPE_CHECKING, Any
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.core.batch_update import PointUpdate
+    from repro.core.batch_update import CellChanges
 
 import numpy as np
 
@@ -61,8 +61,7 @@ from repro.index.backend import ArrayBackend, resolve_backend
 from repro.index.protocol import RangeSumIndexMixin
 from repro.index.registry import FuzzProfile, register_index
 from repro.instrumentation import NULL_COUNTER, AccessCounter
-from repro.kernels import blocked_sum_many_vectorized, resolve_kernel
-from repro.kernels.segments import flatten_updates
+from repro.kernels import blocked_sum_many_vectorized
 
 
 def block_contract(
@@ -493,40 +492,21 @@ class BlockedPrefixSumCube(RangeSumIndexMixin):
         )
         return "\n".join(lines)
 
-    def apply_updates(self, updates: Sequence[PointUpdate]) -> int:
-        """Apply a batch of point updates to ``A`` and the blocked ``P``.
-
-        The raw cube is updated point-wise (it must stay exact for
-        boundary scans), then :meth:`absorb` repairs the blocked prefix
-        array.  The whole batch is validated (arity, range, sign) before
-        the first write, so a rejected batch leaves both arrays as they
-        were.
-
-        Returns:
-            The number of delta-uniform regions written into the blocked
-            prefix array.
-        """
-        flat, deltas = flatten_updates(updates, self.shape)
-        if len(flat):
-            resolve_kernel().scatter(
-                self.source.reshape(-1), flat, deltas, self.operator
-            )
-        return self.absorb(updates)
-
-    def absorb(self, updates: Sequence[PointUpdate]) -> int:
-        """Bring the blocked ``P`` up to date with deltas ``A`` already
-        holds (§5.2: contract the updates block-wise along ``X'``, then
-        the batch-update recursion).  The whole update when ``A`` is
-        shared with (and written by) its owner.  Returns the number of
-        delta-uniform regions written."""
+    def absorb(self, changes: CellChanges) -> int:
+        """Bring the blocked ``P`` up to date with a batch ``A`` already
+        holds (§5.2: contract the deltas, in ``P``'s dtype, block-wise
+        along ``X'``, then recurse).  Returns the regions written."""
         from repro.core.batch_update import (
             apply_batch_to_prefix,
             contract_updates_to_blocks,
+            typed_updates,
         )
 
-        flatten_updates(updates, self.shape)  # validate before writing
         contracted = contract_updates_to_blocks(
-            updates, self.block_size, self.operator, self.prefix_dims
+            typed_updates(changes.updates, self.blocked_prefix.dtype),
+            self.block_size,
+            self.operator,
+            self.prefix_dims,
         )
         regions = apply_batch_to_prefix(
             self.blocked_prefix, contracted, self.operator, self.prefix_dims

@@ -71,22 +71,13 @@ class _ParentState:
     refreshed_pos: int | None = None  # equal-value index move of y0
 
 
-def _dedupe_last_wins(
-    assignments: Sequence[MaxAssignment],
-) -> list[MaxAssignment]:
-    """Keep only the last assignment per cell (the paper assumes distinct
-    indices; assignments are overwrites, so last-wins is the natural
-    merge)."""
-    merged: dict[tuple[int, ...], object] = {}
-    for assignment in assignments:
-        merged[assignment.index] = assignment.value
-    return [MaxAssignment(idx, val) for idx, val in merged.items()]
-
-
 def apply_max_updates(
     tree: RangeMaxTree, assignments: Sequence[MaxAssignment]
 ) -> MaxUpdateStats:
-    """Apply a batch of assignments to ``A`` and repair the max tree (§7).
+    """Apply a batch of assignments to ``A`` and repair the max tree (§7):
+    :func:`~repro.core.batch_update.write_batch` stages them (the last
+    per cell wins; a value its cell cannot hold exactly is rejected) and
+    writes ``A`` once, then the tree's ``absorb`` runs.
 
     Args:
         tree: The tree to update in place (its ``source`` cube included).
@@ -95,23 +86,14 @@ def apply_max_updates(
     Returns:
         Statistics on the per-phase work (list lengths, rescans).
     """
-    from repro.core.batch_update import write_cells
+    from repro.core.batch_update import PointUpdate, write_batch
 
-    merged = _dedupe_last_wins(assignments)
-    for assignment in merged:
-        if len(assignment.index) != tree.ndim:
-            raise ValueError(
-                f"assignment index {assignment.index} has wrong "
-                f"dimensionality for a {tree.ndim}-d cube"
-            )
-    flat = np.array(
-        [np.ravel_multi_index(a.index, tree.shape) for a in merged],
-        dtype=np.int64,
+    changes, _ = write_batch(
+        tree.source,
+        [PointUpdate(a.index, a.value) for a in assignments],
+        operator=None,
     )
-    old = np.take(tree.source, flat)
-    new = np.array([a.value for a in merged], dtype=tree.source.dtype)
-    write_cells(tree.source, flat, new)
-    return repair_max_tree(tree, flat, old, new)
+    return tree.absorb(changes)
 
 
 def repair_max_tree(

@@ -45,11 +45,9 @@ from repro.index.backend import ArrayBackend, resolve_backend
 from repro.index.protocol import RangeSumIndexMixin
 from repro.index.registry import FuzzProfile, register_index
 from repro.instrumentation import NULL_COUNTER, AccessCounter
-from repro.kernels import resolve_kernel
-from repro.kernels.segments import flatten_updates
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.core.batch_update import PointUpdate
+    from repro.core.batch_update import CellChanges
 
 #: Every cube dtype the dense prefix-sum family accepts — shared by the
 #: fuzz profiles of all four §3/§4/§9.1 registry names.
@@ -485,39 +483,19 @@ class PrefixSumCube(RangeSumIndexMixin):
             )
         return cube
 
-    def apply_updates(self, updates: Sequence[PointUpdate]) -> int:
-        """Apply a batch of point updates to ``A`` (when held) and ``P``.
+    def absorb(self, changes: CellChanges) -> int:
+        """Bring ``P`` up to date with a batch ``A`` already holds (§5.1;
+        deltas in ``P``'s dtype): an update at ``x`` dirties the cells
+        with ``y_j >= x_j`` on the chosen dimensions and ``y_j == x_j``
+        on the passive ones.  Returns the delta-uniform regions written."""
+        from repro.core.batch_update import apply_batch_to_prefix, typed_updates
 
-        The whole batch is validated (arity, range, sign) before the
-        first write, so a rejected batch leaves ``P`` and ``A`` as they
-        were.
-
-        Args:
-            updates: Buffered ``(location, value-to-add)`` updates.
-
-        Returns:
-            The number of delta-uniform regions written into ``P``
-            (bounded by Theorem 2 per distinct passive coordinate).
-        """
-        flat, deltas = flatten_updates(updates, self.shape)
-        if self.source is not None and len(flat):
-            resolve_kernel().scatter(
-                self.source.reshape(-1), flat, deltas, self.operator
-            )
-        return self.absorb(updates)
-
-    def absorb(self, updates: Sequence[PointUpdate]) -> int:
-        """Bring ``P`` up to date with deltas ``A`` already holds (§5.1):
-        an update at ``x`` dirties the cells with ``y_j >= x_j`` on the
-        chosen dimensions and ``y_j == x_j`` on the passive ones.  The
-        whole update when ``A`` is shared with (and written by) its
-        owner.  Returns the number of delta-uniform regions written."""
-        from repro.core.batch_update import apply_batch_to_prefix
-
-        flatten_updates(updates, self.shape)  # validate before writing
         self._batch_prefix = None  # the batch-path cache is now stale
         regions = apply_batch_to_prefix(
-            self.prefix, updates, self.operator, self.prefix_dims
+            self.prefix,
+            typed_updates(changes.updates, self.prefix.dtype),
+            self.operator,
+            self.prefix_dims,
         )
         self.backend.flush()
         return regions

@@ -35,7 +35,7 @@ winner, prune, batch descent, §7 repair) reads it from :class:`TreeOrder`.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
+from collections.abc import Callable
 from dataclasses import dataclass
 from itertools import product
 from operator import ge, gt, le, lt
@@ -50,7 +50,8 @@ from repro.index.registry import FuzzProfile, register_index
 from repro.instrumentation import NULL_COUNTER, AccessCounter
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.core.batch_update import CellChanges, PointUpdate
+    from repro.core.batch_update import CellChanges
+    from repro.core.max_update import MaxUpdateStats
 
 
 @dataclass(frozen=True)
@@ -264,30 +265,12 @@ class RangeMaxTree(RangeMaxIndexMixin):
         """Protocol batch path — the vectorized shared descent."""
         return self.max_index_many(lows, highs, counter)
 
-    def apply_updates(self, updates: Sequence[PointUpdate]) -> object:
-        """Absorb point *deltas*: write ``A``, then the §7 repair.
-
-        Duplicate deltas to one cell accumulate first — the same merge
-        the SUM-family partition performs — so the batch means the same
-        thing whichever index family absorbs it.  Each merged cell's new
-        value (pre-batch value + total delta) is written into ``A`` and
-        :meth:`repair` runs once.
-
-        Returns:
-            The :class:`~repro.core.max_update.MaxUpdateStats` of the run.
-        """
-        from repro.core.batch_update import stage_changes, write_cells
-
-        changes = stage_changes(self.source, updates)
-        write_cells(self.source, changes.flat, changes.new)
-        return self.repair(changes)
-
-    def repair(self, changes: CellChanges) -> object:
+    def absorb(self, changes: CellChanges) -> MaxUpdateStats:
         """Bring the levels up to date with cells ``A`` already holds: the
-        §7 repair from each changed cell's old and new value — the whole
-        update when ``A`` is shared with (and written by) its owner."""
+        §7 maintenance from each changed cell's old and new value."""
         from repro.core.max_update import repair_max_tree
 
+        assert changes.old is not None and changes.new is not None
         return repair_max_tree(
             self,
             changes.flat,

@@ -151,6 +151,9 @@ class DataCube:
             counts=self.counts,
             backend=backend,
         )
+        # One measure (and counts) array: from now on, the engine's.
+        self.measures = self._engine.base
+        self.counts = self._engine.counts
         return self._engine
 
     @property
@@ -236,10 +239,11 @@ class DataCube:
     ) -> int:
         """Incrementally load new fact records (the §5 nightly batch).
 
-        Records are aggregated into per-cell deltas, applied to the
-        measure (and count) arrays, and — when an index is already built —
-        pushed through the engine's batch-update path so every
-        precomputed structure stays exact without a rebuild.
+        Each record is a measure delta (and a record count) at its cell,
+        applied by the engine when an index is built (every structure
+        stays exact without a rebuild), else by
+        :func:`~repro.core.batch_update.write_batch`; a batch some cell
+        cannot hold exactly raises ``UnfitUpdate`` and changes nothing.
 
         Args:
             records: New fact records, same schema as ``from_records``.
@@ -248,38 +252,25 @@ class DataCube:
         Returns:
             The number of distinct cells touched.
         """
-        from repro.core.batch_update import PointUpdate
+        from repro.core.batch_update import PointUpdate, write_batch
 
-        measure_deltas: dict[tuple[int, ...], object] = {}
-        count_deltas: dict[tuple[int, ...], int] = {}
-        for record in records:
-            index = tuple(
-                dim.encode(record[dim.name]) for dim in self.dimensions
+        updates = [
+            PointUpdate(
+                tuple(dim.encode(record[dim.name]) for dim in self.dimensions),
+                record[measure],
             )
-            measure_deltas[index] = (
-                measure_deltas.get(index, 0) + record[measure]
-            )
-            count_deltas[index] = count_deltas.get(index, 0) + 1
-        for index, delta in measure_deltas.items():
-            self.measures[index] += delta
-        if self.counts is not None:
-            for index, delta in count_deltas.items():
-                self.counts[index] += delta
+            for record in records
+        ]
+        counted = (
+            None
+            if self.counts is None
+            else [PointUpdate(update.index, 1) for update in updates]
+        )
         if self._engine is not None:
-            updates = [
-                PointUpdate(index, delta)
-                for index, delta in measure_deltas.items()
-            ]
-            counts = (
-                [
-                    PointUpdate(index, delta)
-                    for index, delta in count_deltas.items()
-                ]
-                if self.counts is not None
-                else None
-            )
-            self._engine.apply_updates(updates, counts)
-        return len(measure_deltas)
+            self._engine.apply_updates(updates, counted)
+        else:
+            write_batch(self.measures, updates, self.counts, counted)
+        return len({update.index for update in updates})
 
     def cuboid(self, names: Sequence[str]) -> DataCube:
         """Project onto a cuboid: a group-by on the named dimensions (§9).

@@ -40,7 +40,7 @@ from repro._util import Box
 from repro.instrumentation import NULL_COUNTER, AccessCounter
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.core.batch_update import PointUpdate
+    from repro.core.batch_update import CellChanges, PointUpdate
 
 
 @runtime_checkable
@@ -114,8 +114,23 @@ class _IndexBase:
         """Construction parameters worth reporting (and persisting)."""
         return {}
 
-    def apply_updates(self, updates: object) -> object:
-        """Protocol default: the structure is read-only once built."""
+    def apply_updates(self, updates: Sequence[PointUpdate]) -> object:
+        """The one standalone update path: write the batch into the
+        ``source`` cube once (:func:`~repro.core.batch_update.write_batch`;
+        without one, nothing is staged), then :meth:`absorb` it."""
+        from repro.core.batch_update import merge_changes, write_batch
+        from repro.core.operators import SUM
+
+        source = getattr(self, "source", None)
+        operator = getattr(self, "operator", SUM)
+        if source is None:
+            changes = merge_changes(updates, self.shape, operator)
+        else:
+            changes, _ = write_batch(source, updates, operator=operator)
+        return self.absorb(changes)
+
+    def absorb(self, changes: CellChanges) -> object:
+        """Maintain the derived arrays from a batch ``A`` already holds."""
         raise NotImplementedError(
             f"{type(self).__name__} does not support batch updates; "
             "rebuild the structure instead"
@@ -314,13 +329,8 @@ class InstrumentedIndex:
     def apply_updates(self, updates: object) -> object:
         return self.index.apply_updates(updates)
 
-    def absorb(self, updates: object) -> object:
-        """Derived-array maintenance of a sum index over a shared cube."""
-        return self.index.absorb(updates)
-
-    def repair(self, changes: object) -> object:
-        """Derived-array maintenance of a tree over a shared cube."""
-        return self.index.repair(changes)
+    def absorb(self, changes: object) -> object:
+        return self.index.absorb(changes)
 
     def compare_query(
         self,

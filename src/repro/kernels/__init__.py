@@ -10,8 +10,8 @@ the machine time goes:
 * **segment reduce** (:mod:`repro.kernels.segments`): aggregate many
   contiguous runs of cells (the §4 boundary regions, flattened
   batch-wide into run lists by :mod:`repro.kernels.boundary`);
-* **update scatter** (:mod:`repro.kernels.segments`): apply point deltas
-  to the retained source cube before the §5 prefix machinery runs.
+* **update scatter**: apply point deltas to a materialized cuboid's
+  group-by array before the §5 prefix machinery runs.
 
 There is one implementation of each, reached through the
 :class:`NumpyKernel` instance :func:`resolve_kernel` returns.  See

@@ -17,7 +17,7 @@ from repro.kernels.corner import (
     combine_corner_values,
     gather_corner_values,
 )
-from repro.kernels.segments import scatter_serial, segment_reduce_serial
+from repro.kernels.segments import segment_reduce_serial
 
 
 class NumpyKernel:
@@ -78,12 +78,12 @@ class NumpyKernel:
         deltas: np.ndarray,
         operator: InvertibleOperator,
     ) -> None:
-        """Apply point deltas to a flat array: ``t[i] = t[i] ⊕ delta``.
-
-        Duplicate indices apply repeatedly, exactly as a sequential
-        per-update loop would (``ufunc.at`` semantics).
-        """
-        scatter_serial(target, indices, deltas, operator)
+        """Apply point deltas to a flat array (a cuboid's group-by array):
+        ``t[i] = t[i] ⊕ delta`` in ``t``'s dtype, duplicate indices
+        applying sequentially (``ufunc.at`` is unbuffered)."""
+        operator.apply.at(  # type: ignore[attr-defined]
+            target, indices, np.asarray(deltas).astype(target.dtype)
+        )
 
 
 _KERNEL = NumpyKernel()

@@ -1,4 +1,4 @@
-"""Segment-reduce / scatter machinery.
+"""Segment-reduce machinery.
 
 ``segment_reduce_serial`` is the gather-into-buffer + ``ufunc.reduceat``
 pattern: rather than interleaving (start, end) offsets — which makes
@@ -69,34 +69,6 @@ def segment_reduce_serial(
     return apply_ufunc.reduceat(buffer, offsets, dtype=target)
 
 
-def scatter_serial(
-    target: np.ndarray,
-    indices: np.ndarray,
-    deltas: np.ndarray,
-    operator: InvertibleOperator,
-) -> None:
-    """Apply ``target[i] = target[i] ⊕ delta`` for each (index, delta).
-
-    ``ufunc.at`` is unbuffered, so duplicate indices apply sequentially —
-    the same semantics as the historical per-update Python loop.  Deltas
-    that numpy cannot safely cast into the target dtype (e.g. negative
-    ints into an unsigned cube, or object-dtype Python scalars) fall back
-    to that loop, preserving the old behaviour exactly.
-    """
-    apply_ufunc = operator.apply
-    deltas_arr = np.asarray(deltas)
-    if (
-        isinstance(apply_ufunc, np.ufunc)
-        and deltas_arr.dtype != object
-        and np.can_cast(deltas_arr.dtype, target.dtype, "same_kind")
-    ):
-        apply_ufunc.at(target, indices, deltas_arr.astype(target.dtype))
-        return
-    flat_indices = np.asarray(indices).ravel()
-    for pos, delta in zip(flat_indices.tolist(), np.ravel(deltas_arr)):
-        target[pos] = operator.apply(target[pos], delta)
-
-
 def flatten_updates(
     updates: object, shape: tuple[int, ...]
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -109,14 +81,13 @@ def flatten_updates(
 
     Returns:
         ``(indices, deltas)`` — ``(n,)`` flat int64 indices and the delta
-        values as an array (object dtype when deltas are mixed Python
-        scalars, which :func:`scatter_serial` handles via its fallback).
+        values as an array.
 
     Raises:
         ValueError: A coordinate tuple of the wrong arity, or a
             coordinate that is negative or not below its extent — the
-            structures call this before their first write, so a rejected
-            batch changes nothing.
+            staging step calls this before the first write, so a
+            rejected batch changes nothing.
     """
     seq = list(updates)  # type: ignore[call-overload]
     if not seq:

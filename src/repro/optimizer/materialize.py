@@ -272,38 +272,32 @@ class MaterializedCuboidSet:
         """Propagate a batch of base-cube point updates to every
         materialized cuboid (§5 run per structure).
 
-        The base is written once, here when the set owns it (else its
-        owner already has), so a cuboid that reads the base itself only
-        repairs its prefix array.  Each update's index projects onto a
-        cuboid by dropping the summed-out coordinates; deltas colliding
-        on the same projected cell merge before the per-structure batch
-        update runs.
+        The base is staged and written once
+        (:func:`~repro.core.batch_update.write_batch`), here when the set
+        owns it (else its owner already has).  Each update projects onto
+        a cuboid by dropping the summed-out coordinates; the merged
+        deltas go ``⊕`` into the cuboid's own group-by array, and the
+        structure's ``absorb`` repairs its prefix array.
         """
-        from repro.core.batch_update import (
-            PointUpdate,
-            combine_duplicate_updates,
-            stage_changes,
-            write_cells,
-        )
+        from repro.core.batch_update import PointUpdate, merge_changes, write_batch
+        from repro.kernels import resolve_kernel
 
         if self.owns_base:
-            changes = stage_changes(self.base, updates)
-            write_cells(self.base, changes.flat, changes.new)
+            write_batch(self.base, updates)
         for cuboid in self.cuboids:
+            structure = cuboid.structure
             projected = [
-                PointUpdate(
-                    tuple(update.index[j] for j in cuboid.key),
-                    update.delta,
-                )
-                for update in updates
+                PointUpdate(tuple(u.index[j] for j in cuboid.key), u.delta)
+                for u in updates
             ]
-            merged = combine_duplicate_updates(
-                projected, cuboid.structure.operator
-            )
-            if cuboid.shares_base:
-                cuboid.structure.absorb(merged)
-            else:
-                cuboid.structure.apply_updates(merged)
+            changes = merge_changes(projected, structure.shape, structure.operator)
+            if not cuboid.shares_base:
+                deltas = np.array([u.delta for u in changes.updates])
+                resolve_kernel().scatter(
+                    structure.source.reshape(-1), changes.flat, deltas,
+                    structure.operator,
+                )
+            structure.absorb(changes)
 
     def rebase(self, base: np.ndarray) -> None:
         """Hand the base to its owner: read ``base`` — equal to the

@@ -447,16 +447,14 @@ class RangeQueryEngine:
         updates: Sequence[PointUpdate],
         count_updates: Sequence[PointUpdate] | None = None,
     ) -> None:
-        """Write a batch of deltas into the base once, then maintain
-        every route's derived arrays from it.
-
-        Duplicate cells merge first and each cell's pre-batch value is
-        read once.  The sum index repairs ``P`` from the merged deltas
-        (§5); the max and min trees repair their levels from each cell's
-        old and new value (§7).  Both batches are validated — arity,
-        range, and that every cell's exact new value fits the cube's
-        integer dtype — before the first write, so a rejected batch
-        (:class:`~repro.core.batch_update.UnfitUpdate`) changes nothing.
+        """Write a batch of deltas into the base (and counts) once, then
+        let every route ``absorb`` it into its derived arrays: the sum
+        index's ``P`` from the merged deltas (§5), the trees' levels from
+        each cell's old and new value (§7).  A batch some cell cannot
+        hold exactly is rejected by
+        :func:`~repro.core.batch_update.write_batch` with
+        :class:`~repro.core.batch_update.UnfitUpdate` before the first
+        write, so it changes nothing.
 
         Args:
             updates: Measure deltas per cell.
@@ -464,29 +462,18 @@ class RangeQueryEngine:
                 engine was built with a counts cube and AVERAGE must stay
                 exact).
         """
-        from repro.core.batch_update import stage_changes, write_cells
+        from repro.core.batch_update import write_batch
 
-        changes = stage_changes(self.base, updates)
-        count_changes = None
-        if count_updates is not None:
-            if self.counts is None:
-                raise ValueError("engine was built without a counts cube")
-            count_changes = stage_changes(
-                self.counts, count_updates, "count update"
-            )
-        write_cells(self.base, changes.flat, changes.new)
-        sum_route = self._routes["sum"]
-        assert sum_route is not None
-        sum_route.absorb(changes.updates)
-        for name in ("max", "min"):
-            tree = self._routes[name]
-            if tree is not None:
-                tree.repair(changes)
-        count_route = self._routes["count"]
-        if count_changes is not None and count_route is not None:
-            assert self.counts is not None
-            write_cells(self.counts, count_changes.flat, count_changes.new)
-            count_route.absorb(count_changes.updates)
+        changes, count_changes = write_batch(
+            self.base, updates, self.counts, count_updates
+        )
+        for name, staged in (
+            ("sum", changes), ("max", changes), ("min", changes),
+            ("count", count_changes),
+        ):
+            route = self._routes[name]
+            if route is not None and staged is not None:
+                route.absorb(staged)
 
     def rolling_sum(
         self,

@@ -45,12 +45,7 @@ from typing import Any
 import numpy as np
 
 from repro._util import Box
-from repro.core.batch_update import (
-    PointUpdate,
-    UnfitUpdate,
-    stage_changes,
-    write_cells,
-)
+from repro.core.batch_update import PointUpdate, UnfitUpdate, write_batch
 from repro.index.backend import AdoptingBackend, ArrayBackend, resolve_backend
 from repro.instrumentation import AccessCounter
 from repro.optimizer.advisor import DesignDelta, re_advise
@@ -858,28 +853,15 @@ class QueryService:
         count_updates: list[PointUpdate] | None,
     ) -> dict:
         def run() -> None:
-            # The base (and counts) is written once: by the engine, which
-            # builds every route over it, or here when there is none.
-            # Either way the batch is staged against the cells it finds
-            # under this write lock and rejected before the first write
-            # when some cell cannot hold its exact new value.  The
-            # materialized set never writes the served base; it
-            # maintains only its cuboids.
+            # The base (and counts) is staged and written once under this
+            # write lock — by the engine, which builds every route over
+            # it, or here when there is none — and an unfit batch is
+            # rejected before that write.  The materialized set never
+            # writes the served base; it maintains only its cuboids.
             if cube.engine is not None:
                 cube.engine.apply_updates(updates, count_updates)
             else:
-                staged = [(cube.base, stage_changes(cube.base, updates))]
-                if count_updates is not None and cube.counts is not None:
-                    staged.append(
-                        (
-                            cube.counts,
-                            stage_changes(
-                                cube.counts, count_updates, "count update"
-                            ),
-                        )
-                    )
-                for target, changes in staged:
-                    write_cells(target, changes.flat, changes.new)
+                write_batch(cube.base, updates, cube.counts, count_updates)
             if cube.cuboids is not None:
                 cube.cuboids.apply_updates(updates)
 

@@ -512,7 +512,7 @@ def _run_engine_phase(scenario: Scenario) -> dict | None:
             count_updates.append(PointUpdate(point, 1))
         engine.apply_updates(updates, count_updates)
         detail = probe() or probe_batch()
-    return detail or _probe_extremes(scenario, rng)
+    return detail or _probe_extremes(scenario, rng) or _probe_update_dtypes(scenario)
 
 
 def _probe_extremes(
@@ -578,4 +578,63 @@ def _probe_extremes(
                         "expected": repr(expected),
                         "actual": repr(actual),
                     }
+    return None
+
+
+#: Updates the scenario generator never draws (docs/TESTING.md rule 6),
+#: as ``(dtype, background, planted cell, delta)``: unsigned increments,
+#: uint64 cells beyond float64's integers, and bool False -> True.
+UPDATE_DTYPE_PROBES = (
+    ("uint8", 7, 200, 3),
+    ("uint32", 7, 2**31 + 9, 3),
+    ("uint64", 7, 2**60 + 1, 5),
+    ("bool", False, False, 1),
+)
+
+
+def _probe_update_dtypes(scenario: Scenario) -> dict | None:
+    """Each :data:`UPDATE_DTYPE_PROBES` cube (first and last cell planted,
+    each taking the delta once) through the engine and the scenario's
+    index alone: SUM of the cube, scalar and batch, and the engine's
+    MAX/MIN must equal an exact shadow.  Draws no random numbers."""
+    from repro.index.registry import IndexSpec
+    from repro.query.engine import RangeQueryEngine
+
+    profile = get_index_info(scenario.index).fuzz_profile
+    if profile is None or not profile.supports_updates:
+        return None
+    whole = Box((0,) * len(scenario.shape), tuple(n - 1 for n in scenario.shape))
+    cells = sorted({whole.lo, whole.hi})
+    lows, highs = np.array([whole.lo]), np.array([whole.hi])
+    spec = IndexSpec.of(scenario.index, **scenario.param_dict())
+    for dtype, background, planted, delta in UPDATE_DTYPE_PROBES:
+        cube = np.full(scenario.shape, background, dtype=dtype)
+        shadow = cube.astype(object)
+        for cell in cells:
+            cube[cell], shadow[cell] = planted, planted + delta
+        engine, alone = RangeQueryEngine(cube, sum_index=spec), spec.build(cube)
+        for holder in (engine, alone):
+            holder.apply_updates([PointUpdate(cell, delta) for cell in cells])
+        total = shadow.sum()
+        checks = {
+            "engine_sum": (total, engine.sum(whole)),
+            "engine_sum_many": (total, engine.sum_many(lows, highs)[0]),
+            "index_sum": (total, alone.query(whole)),
+            "index_sum_many": (total, alone.query_many(lows, highs)[0]),
+            "engine_max": (shadow.max(), engine.max(whole)[1]),
+            "engine_min": (shadow.min(), engine.min(whole)[1]),
+        }
+        for check, (expected, actual) in checks.items():
+            if isinstance(actual, np.generic):
+                actual = actual.item()
+            # Python compares int with float exactly; numpy would round
+            # the int to float64 first and hide the error.
+            if actual != expected:
+                return {
+                    "kind": "engine_update_dtypes",
+                    "check": check,
+                    "dtype": dtype,
+                    "expected": repr(expected),
+                    "actual": repr(actual),
+                }
     return None

@@ -6,7 +6,8 @@ from repro.index.registry import FuzzProfile, register_index
 
 
 # VIOLATION: persistable (default True) but no state_dict/from_state,
-# FuzzProfile.supports_updates (default True) but no apply_updates.
+# FuzzProfile.supports_updates (default True) but neither absorb nor an
+# apply_updates of its own.
 @register_index(
     "fixture_hollow_sum",
     kind="sum",

@@ -21,6 +21,20 @@ def test_bad_fixture_flags_every_seeded_shape():
     assert rule_lines(report, RULE_ID) == [6, 9, 15, 18, 21]
 
 
+def test_unlocked_write_batch_is_flagged():
+    """``write_batch`` — the one write of a cube without an engine — is a
+    tier mutation like ``apply_updates``: it needs the write side."""
+    source = (
+        "class Service:\n"
+        "    async def unlocked_write(self, cube, updates):\n"
+        "        write_batch(cube.base, updates)\n"
+    )
+    report = lint_source(
+        "src/repro/serving/service.py", source, [LockDisciplineRule()]
+    )
+    assert rule_lines(report, RULE_ID) == [3]
+
+
 def test_ok_fixture_is_clean():
     """Lexical blocks, the guard-helper lambda pattern, and the
     nested-closure-called-under-lock pattern all pass."""

@@ -17,10 +17,12 @@ def test_protocol_surface_extraction():
         "memory_cells",
         "describe",
     }
-    # Mixin methods are concrete; _IndexBase placeholders are not.
+    # Mixin methods are concrete; _IndexBase placeholders are not (the
+    # one apply_updates path is concrete and ends in absorb).
     assert tables["RangeSumIndexMixin"]["query"]
     assert tables["RangeSumIndexMixin"]["describe"]
-    assert not tables["RangeSumIndexMixin"]["apply_updates"]
+    assert tables["RangeSumIndexMixin"]["apply_updates"]
+    assert not tables["RangeSumIndexMixin"]["absorb"]
     assert not tables["RangeSumIndexMixin"]["state_dict"]
 
 
@@ -28,7 +30,7 @@ def test_flags_missing_capabilities():
     report = lint_fixture("registry/contract_bad.py", RegistryContractRule())
     by_message = {v.message for v in report.violations}
     hollow = next(m for m in by_message if "HollowSum" in m)
-    assert "apply_updates" in hollow
+    assert "absorb" in hollow
     assert "state_dict" in hollow
     assert "from_state" in hollow
     bare = next(m for m in by_message if "BareMax" in m)

@@ -8,11 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro._util import Box
-from repro.core.max_update import (
-    MaxAssignment,
-    apply_max_updates,
-    _dedupe_last_wins,
-)
+from repro.core.max_update import MaxAssignment, apply_max_updates
 from repro.core.range_max import RangeMaxTree
 from repro.query.naive import naive_max_value
 from repro.query.workload import make_cube, random_box
@@ -189,10 +185,14 @@ class TestBatchMechanics:
         assert_tree_consistent(tree)
 
     def test_last_assignment_wins(self):
-        merged = _dedupe_last_wins(
-            [MaxAssignment((1,), 5), MaxAssignment((1,), 9)]
+        tree = RangeMaxTree(np.arange(8, dtype=np.int64), fanout=2)
+        stats = apply_max_updates(
+            tree, [MaxAssignment((1,), 50), MaxAssignment((1,), 9)]
         )
-        assert merged == [MaxAssignment((1,), 9)]
+        assert stats.assignments == 1
+        assert tree.source[1] == 9
+        assert tree.max_value(Box((0,), (7,))) == 9
+        assert_tree_consistent(tree)
 
     def test_phase_lists_shrink(self, rng):
         """Most updates are passive, so upward lists should shrink fast."""

@@ -476,9 +476,12 @@ class TestMinUnsignedRegression:
         [np.int8, np.int16, np.int32, np.int64, np.uint64, np.bool_],
     )
     def test_dtype_extremes_exact(self, dtype, rng):
-        """MIN and MAX equal the numpy reduce of the box exactly — at the
-        dtype's extremes, on uint64 cells beyond 2**63 (as Python ints)
-        and on bool — scalar and batch, before and after an update."""
+        """MIN, MAX and SUM equal the numpy reduce of the box exactly —
+        at the dtype's extremes, on uint64 cells beyond 2**63 (as Python
+        ints) and on bool — scalar and batch, before and after an update.
+        SUM reduces in the prefix array's dtype (``int64``, ``uint64`` for
+        unsigned), wrapping as it does; an update must not round the
+        uint64 prefix array through float64."""
         cube = self._planted(dtype, rng)
         mirror = cube.copy()
         engine = RangeQueryEngine(cube, max_index=_max_tree(2))
@@ -486,12 +489,16 @@ class TestMinUnsignedRegression:
             random_box(cube.shape, rng) for _ in range(40)
         ]
         lows, highs = boxes_to_arrays(boxes, cube.shape)
+        accumulated = np.uint64 if np.dtype(dtype).kind == "u" else np.int64
 
         def check() -> None:
             _, tops = engine.max_many(lows, highs)
             _, bottoms = engine.min_many(lows, highs)
+            sums = engine.sum_many(lows, highs)
             for k, box in enumerate(boxes):
                 window = mirror[box.slices()]
+                total = int(window.sum(dtype=accumulated))
+                assert engine.sum(box) == total == int(sums[k])
                 index, lowest = engine.min(box)
                 _, highest = engine.max(box)
                 assert lowest == window.min() and mirror[index] == lowest
