@@ -199,9 +199,7 @@ def write_batch(
     """The one write of a cube ``A`` (and its record ``counts``): stage
     both batches (:func:`stage_changes`; counts add), so a rejected one
     raises :class:`UnfitUpdate` before either array changes, then write
-    each once (synced when memory-mapped) and return the changes."""
-    from repro.index.backend import _backing_memmap
-
+    each once (:func:`write_changes`) and return the changes."""
     what = "update" if operator is not None else "assignment"
     changes = stage_changes(cube, updates, what, operator)
     count_changes = None
@@ -211,12 +209,20 @@ def write_batch(
         count_changes = stage_changes(counts, count_updates, "count update")
     for target, staged in ((cube, changes), (counts, count_changes)):
         if target is not None and staged is not None:
-            assert staged.new is not None
-            np.put(target, staged.flat, staged.new)
-            backing = _backing_memmap(target)
-            if backing is not None:
-                backing.flush()
+            write_changes(target, staged)
     return changes, count_changes
+
+
+def write_changes(cube: np.ndarray, changes: CellChanges) -> None:
+    """Write a batch :func:`stage_changes` accepted into ``cube`` (synced
+    when memory-mapped)."""
+    from repro.index.backend import _backing_memmap
+
+    assert changes.new is not None
+    np.put(cube, changes.flat, changes.new)
+    backing = _backing_memmap(cube)
+    if backing is not None:
+        backing.flush()
 
 
 def typed_updates(

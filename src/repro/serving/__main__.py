@@ -174,18 +174,15 @@ def _register_ingested(
         spill_directory=args.ingest_spill,
     )
     result = ingest(open_batches(path), plan)
-    extra: dict = {}
-    if result.spilled:
-        # No indexed tier for an out-of-core cube: the engine's default
-        # §3 prefix array is another base-sized array, and its trees
-        # build through a base-sized heap transient.  The materialized
-        # cuboids (plus the fallback scan over the mapped base) serve it.
-        extra["engine"] = None
+    # No indexed tier for an out-of-core cube: the engine's default §3
+    # prefix array is another base-sized array, and its trees build
+    # through a base-sized heap transient.  The materialized cuboids
+    # (plus the fallback scan over the mapped base) serve it.
     service.register_cube(
         name,
         cuboid_set=result.cuboid_set,
         backend=result.backend,
-        **extra,
+        indexed=not result.spilled,
     )
     print(
         f"ingested cube {name!r} from {path}: shape={shape}, "

@@ -60,13 +60,9 @@ class AdaptiveController:
     """Periodically re-plan every served cube and hot-swap improvements.
 
     Args:
-        service: The service whose cubes this controller tunes.
-        interval_s: Seconds between advisory cycles (default: the
-            service config's ``adaptive_interval_s``).
-        space_budget: Planning budget override (default: config, which
-            itself defaults to each cube's own cell count).
-        hysteresis / min_weight / max_block: Per-knob overrides of the
-            service defaults (see :meth:`QueryService.plan_delta`).
+        service: The service whose cubes this controller tunes.  Its
+            config sets the cycle interval (``adaptive_interval_s``) and
+            every planning knob (see :meth:`QueryService.plan_delta`).
 
     Use as an async context manager, or call :meth:`start` /
     :meth:`stop` explicitly.  :meth:`step` runs one advisory cycle for
@@ -74,25 +70,9 @@ class AdaptiveController:
     instead of sleeping through wall-clock intervals.
     """
 
-    def __init__(
-        self,
-        service: QueryService,
-        *,
-        interval_s: float | None = None,
-        space_budget: float | None = None,
-        hysteresis: float | None = None,
-        min_weight: float | None = None,
-        max_block: int | None = None,
-    ) -> None:
+    def __init__(self, service: QueryService) -> None:
         self.service = service
-        config = service.config
-        self.interval_s = (
-            config.adaptive_interval_s if interval_s is None else interval_s
-        )
-        self.space_budget = space_budget
-        self.hysteresis = hysteresis
-        self.min_weight = min_weight
-        self.max_block = max_block
+        self.interval_s = service.config.adaptive_interval_s
         self.cycles = 0
         self.swaps = 0
         self.holds = 0
@@ -172,14 +152,7 @@ class AdaptiveController:
         loop = asyncio.get_running_loop()
         delta = await loop.run_in_executor(
             self.service._ensure_executor(),
-            lambda: self.service.plan_delta(
-                cube,
-                snapshot,
-                space_budget=self.space_budget,
-                hysteresis=self.hysteresis,
-                max_block=self.max_block,
-                min_query_weight=self.min_weight,
-            ),
+            lambda: self.service.plan_delta(cube, snapshot),
         )
         if delta.should_swap:
             await self.actuate(cube, delta)

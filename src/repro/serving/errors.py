@@ -39,8 +39,8 @@ class UnknownResource(ServingError):
 
 
 class Unsupported(ServingError):
-    """A valid request the cube's tiers cannot answer (e.g. MAX on a
-    cube registered without a max index and without a fallback)."""
+    """A valid request the cube's tiers cannot answer (an operator the
+    fallback scan does not implement)."""
 
     status = 422
     code = "unsupported"

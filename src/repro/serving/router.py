@@ -93,13 +93,7 @@ class TieredRouter:
         query: RangeQuery | None,
         box: Box,
     ) -> str:
-        """The tier a scalar ``op`` over ``box`` will execute on.
-
-        Raises:
-            Unsupported: No tier can answer (the cube was registered
-                with the naive fallback disabled and nothing else
-                covers the operator).
-        """
+        """The tier a scalar ``op`` over ``box`` will execute on."""
         if (
             op == "sum"
             and query is not None
@@ -107,7 +101,7 @@ class TieredRouter:
             and cube.cuboids.route(query) is not None
         ):
             return "materialized"
-        return self._unmaterialized_tier(cube, op)
+        return self._unmaterialized_tier(cube)
 
     def choose_batch(self, cube: ServedCube, op: str) -> str:
         """The tier a ``K``-row batch of ``op`` executes on.
@@ -116,20 +110,12 @@ class TieredRouter:
         surface); they run on the engine's vectorized ``*_many`` path
         when available, else row-by-row on the fallback scan.
         """
-        return self._unmaterialized_tier(cube, op)
+        return self._unmaterialized_tier(cube)
 
-    def _unmaterialized_tier(self, cube: ServedCube, op: str) -> str:
-        """Indexed when the engine covers ``op``, else the fallback."""
-        if cube.engine is not None:
-            if op in ("sum", "count", "average"):
-                return "indexed"
-            if cube.engine.route("max") is not None:
-                return "indexed"
-        if cube.fallback:
-            return "fallback"
-        raise Unsupported(
-            f"cube {cube.name!r} has no tier for operator {op!r}"
-        )
+    def _unmaterialized_tier(self, cube: ServedCube) -> str:
+        """Indexed when the cube has an engine (it covers every
+        operator), else the fallback."""
+        return "indexed" if cube.engine is not None else "fallback"
 
     def choose_rollup(
         self, cube: ServedCube, op: str, dims: Sequence[int]
@@ -137,14 +123,14 @@ class TieredRouter:
         """A roll-up's tier, the array it reduces, and ``dims`` as axes
         of that array: an exact-dtype SUM reads the smallest covering
         cuboid (SUM is distributive); any other roll-up reads the base
-        cube and is labelled (or refused) as a batch of ``op`` is."""
+        cube and is labelled as a batch of ``op`` is."""
         exact = cube.base.dtype.kind in "biu"
         if op == "sum" and exact and cube.cuboids is not None:
             cuboid = cube.cuboids.covering(dims)
             if cuboid is not None:
                 axes = [cuboid.key.index(d) for d in dims]
                 return "materialized", cuboid.structure.source, axes
-        return self._unmaterialized_tier(cube, op), cube.base, dims
+        return self._unmaterialized_tier(cube), cube.base, dims
 
     # ------------------------------------------------------------------
     # Execution (synchronous — the service decides where this runs)

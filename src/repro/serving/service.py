@@ -47,12 +47,13 @@ import numpy as np
 from repro._util import Box
 from repro.core.batch_update import PointUpdate, UnfitUpdate, write_batch
 from repro.index.backend import AdoptingBackend, ArrayBackend, resolve_backend
+from repro.index.registry import IndexSpec
 from repro.instrumentation import AccessCounter
 from repro.optimizer.advisor import DesignDelta, re_advise
 from repro.optimizer.cost_model import boundary_cells_per_surface
 from repro.optimizer.cuboid_selection import Materialization
 from repro.optimizer.materialize import MaterializedCuboidSet
-from repro.query.engine import RangeQueryEngine
+from repro.query.engine import DEFAULT_SUM_INDEX, RangeQueryEngine
 from repro.query.observer import WorkloadObserver, WorkloadSnapshot
 from repro.query.ranges import RangeQuery, RangeSpec, canonical_box
 from repro.serving.admission import AdmissionController
@@ -66,10 +67,6 @@ from repro.serving.errors import (
 )
 from repro.serving.router import SCALAR_OPS, TieredRouter
 from repro.serving.rwlock import ReadWriteLock
-
-#: Sentinel distinguishing "build a default engine" from an explicit
-#: ``engine=None`` (register with no indexed tier).
-_UNSET: Any = object()
 
 #: Queries each cube's live
 #: :class:`~repro.query.observer.WorkloadObserver` window retains (the
@@ -85,6 +82,12 @@ ADAPTIVE_HYSTERESIS = 1.15
 #: cycle).
 ADAPTIVE_MAX_BLOCK = 64
 
+#: Largest accepted ``/query_batch`` request (rows).
+MAX_BATCH_ROWS = 4096
+
+#: Largest accepted roll-up result grid (cells).
+MAX_ROLLUP_CELLS = 1 << 16
+
 
 @dataclass(frozen=True)
 class ServeConfig:
@@ -93,8 +96,6 @@ class ServeConfig:
     Attributes:
         coalesce_window_s: Batching window for scalar coalescing;
             ``0`` disables coalescing (per-query dispatch).
-        coalesce_max_batch: Rows at which a coalesced batch flushes
-            early.
         cache_capacity: LRU result-cache entries; ``0`` disables.
         max_inflight: Concurrent requests admitted to execution.
         max_queue: Requests allowed to wait for an execution slot.
@@ -103,8 +104,6 @@ class ServeConfig:
         offload_cells: Estimated touched-cell count at or above which a
             computation runs on the worker pool instead of the event
             loop.
-        max_batch_rows: Largest accepted ``/query_batch`` request.
-        max_rollup_cells: Largest accepted roll-up result grid.
         executor_workers: Worker threads for the offload pool;
             ``None`` means ``os.cpu_count()``.
         logbook_path: When set, every registered cube records served
@@ -125,14 +124,11 @@ class ServeConfig:
     """
 
     coalesce_window_s: float = 0.002
-    coalesce_max_batch: int = 256
     cache_capacity: int = 1024
     max_inflight: int = 64
     max_queue: int = 256
     timeout_s: float = 30.0
     offload_cells: int = 1 << 15
-    max_batch_rows: int = 4096
-    max_rollup_cells: int = 1 << 16
     executor_workers: int | None = None
     logbook_path: str | None = None
     observer_decay: float = 0.995
@@ -153,7 +149,6 @@ class ServedCube:
     counter: AccessCounter
     #: The live workload window the adaptive advisor plans from.
     observer: WorkloadObserver
-    fallback: bool = True
     generation: int = 0
     queries: int = 0
     updates_applied: int = 0
@@ -208,7 +203,6 @@ class QueryService:
         self.coalescer = RequestCoalescer(
             self._run_coalesced_batch,
             window_s=self.config.coalesce_window_s,
-            max_batch=self.config.coalesce_max_batch,
         )
         self.started_at = time.time()
         self._executor: ThreadPoolExecutor | None = None
@@ -222,16 +216,13 @@ class QueryService:
         name: str,
         cube: np.ndarray | None = None,
         *,
-        engine: RangeQueryEngine | None = _UNSET,
-        sum_index: object = None,
+        indexed: bool = True,
+        sum_index: str | IndexSpec = DEFAULT_SUM_INDEX,
         sum_params: dict[str, Any] | None = None,
-        max_index: object = _UNSET,
-        max_params: dict[str, Any] | None = None,
         counts: np.ndarray | None = None,
         backend: ArrayBackend | None = None,
         plan: Sequence[object] | None = None,
         cuboid_set: MaterializedCuboidSet | None = None,
-        fallback: bool = True,
     ) -> ServedCube:
         """Register ``cube`` under ``name`` and build its tiers.
 
@@ -249,15 +240,11 @@ class QueryService:
                 both are given), which is how an out-of-core
                 :func:`repro.ingest.ingest` build (whose base is a
                 memmap) goes straight into serving.
-            engine: A prebuilt :class:`RangeQueryEngine` to serve from
-                (it must cover the same data, and ``counts``, when
-                given, must equal what it was built with), or ``None``
-                for no indexed tier.  A prebuilt engine's own base and counts
-                become the served ones.  Default: build one over the
-                served base from ``sum_index`` / ``max_index`` with a
-                fresh per-cube access counter.
-            sum_index / sum_params / max_index / max_params:
-                Forwarded to the default-built engine.
+            indexed: Build the indexed tier: a :class:`RangeQueryEngine`
+                over the served base with max and min trees and a fresh
+                per-cube access counter.  ``False`` leaves the
+                materialized tier and the fallback scan.
+            sum_index / sum_params: The engine's range-sum structure.
             counts: Optional record-count cube (AVERAGE denominators),
                 copied once like ``cube``.
             backend: Array backend for built structures.  Also retained
@@ -268,13 +255,9 @@ class QueryService:
                 :class:`MaterializedCuboidSet` when given.
             cuboid_set: A prebuilt tier-1 set to adopt instead of
                 building one from ``plan`` (mutually exclusive with
-                ``plan``), e.g. ``IngestResult.cuboid_set``.  Like
-                ``engine=``, it must cover the same data as ``cube``;
-                when both are passed, registration verifies the set's
-                base equals the cube cell-for-cell and rejects a
-                mismatch.  Either way the set's base is adopted.
-            fallback: Keep the naive base-scan tier (tier 2's safety
-                net); disable to make uncovered operators a 422.
+                ``plan``), e.g. ``IngestResult.cuboid_set``.  When
+                ``cube`` is passed too, registration verifies the set's
+                base equals it cell-for-cell and rejects a mismatch.
         """
         if not name or "/" in name:
             raise ValueError(f"cube name {name!r} must be non-empty, no '/'")
@@ -291,54 +274,29 @@ class QueryService:
                 "whose base to adopt)"
             )
         owner = resolve_backend(backend)
-        prebuilt = None if engine is _UNSET else engine
-        # The one base (and counts) every tier reads: a prebuilt
-        # engine's own (it writes them on /update), else an adopted
-        # set's, else one copy of ``cube``.
-        if prebuilt is not None:
-            base, held_counts = prebuilt.base, prebuilt.counts
+        # The one base every tier reads: one copy of ``cube``, else an
+        # adopted set's.
+        if cuboid_set is None:
+            base = np.array(cube, copy=True)
         else:
-            base = (
-                np.array(cube, copy=True)
-                if cuboid_set is None
-                else cuboid_set.base
-            )
-            held_counts = (
-                None if counts is None else np.array(counts, copy=True)
-            )
-        if cube is not None and (
-            prebuilt is not None or cuboid_set is not None
-        ):
-            _check_same_cells(cube, base, "cube=")
-        if prebuilt is not None and counts is not None:
-            if held_counts is None:
-                raise ValueError(
-                    "counts= was given but the engine was built without "
-                    "a counts cube"
-                )
-            _check_same_cells(counts, held_counts, "counts=")
-        if cuboid_set is not None:
-            if cuboid_set.base is not base:
-                _check_same_cells(cuboid_set.base, base, "cuboid_set")
+            base = cuboid_set.base
+            if cube is not None:
+                _check_same_cells(cube, base, "cube=")
             # The served cube owns the base from here on: it writes each
             # update once and the set maintains only its cuboids.
             cuboid_set.rebase(base)
+        held_counts = None if counts is None else np.array(counts, copy=True)
         counter = AccessCounter()
-        if engine is _UNSET:
-            kwargs: dict[str, Any] = {
-                "sum_params": sum_params,
-                "max_params": max_params,
-                "counts": held_counts,
-                "backend": AdoptingBackend(owner),
-                "counter": counter,
-            }
-            if sum_index is not None:
-                kwargs["sum_index"] = sum_index
-            if max_index is not _UNSET:
-                kwargs["max_index"] = max_index
-            engine = RangeQueryEngine(base, **kwargs)
-        elif prebuilt is not None:
-            counter = prebuilt.counter
+        engine: RangeQueryEngine | None = None
+        if indexed:
+            engine = RangeQueryEngine(
+                base,
+                sum_index=sum_index,
+                sum_params=sum_params,
+                counts=held_counts,
+                backend=AdoptingBackend(owner),
+                counter=counter,
+            )
         cuboids = cuboid_set
         if plan is not None:
             # The initial plan gets its own subscope (generation 0) just
@@ -361,7 +319,6 @@ class QueryService:
                 capacity=OBSERVER_CAPACITY,
                 decay=self.config.observer_decay,
             ),
-            fallback=fallback,
             design_backend=backend,
         )
         if self.config.logbook_path is not None:
@@ -407,10 +364,9 @@ class QueryService:
         raw = payload.get("queries")
         if not isinstance(raw, list) or not raw:
             raise BadRequest("'queries' must be a non-empty list")
-        if len(raw) > self.config.max_batch_rows:
+        if len(raw) > MAX_BATCH_ROWS:
             raise BadRequest(
-                f"batch of {len(raw)} exceeds the row cap "
-                f"{self.config.max_batch_rows}"
+                f"batch of {len(raw)} exceeds the row cap {MAX_BATCH_ROWS}"
             )
         boxes = [
             _parse_region(entry, cube.shape)[1] for entry in raw
@@ -459,10 +415,10 @@ class QueryService:
             raise BadRequest("'dims' must be a non-empty list")
         dims = _parse_dims(raw_dims, len(cube.shape), "rollup dimension")
         cells = int(np.prod([cube.shape[d] for d in dims]))
-        if cells > self.config.max_rollup_cells:
+        if cells > MAX_ROLLUP_CELLS:
             raise BadRequest(
                 f"rollup grid of {cells} cells exceeds the cap "
-                f"{self.config.max_rollup_cells}"
+                f"{MAX_ROLLUP_CELLS}"
             )
         return await self._with_admission(
             lambda: self._answer_rollup(cube, op, dims)
@@ -670,8 +626,7 @@ class QueryService:
                 tiers.append("materialized")
             if cube.engine is not None:
                 tiers.append("indexed")
-            if cube.fallback:
-                tiers.append("fallback")
+            tiers.append("fallback")
             out[name] = {
                 "shape": list(cube.shape),
                 "dtype": str(cube.base.dtype),

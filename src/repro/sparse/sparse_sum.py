@@ -18,7 +18,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from collections.abc import Sequence
 
+import numpy as np
+
 from repro._util import Box, check_query_box
+from repro.core.batch_update import PointUpdate, stage_changes, write_changes
 from repro.core.blocked import BlockedPrefixSumCube
 from repro.core.prefix_sum import PrefixSumCube
 from repro.index.protocol import RangeSumIndexMixin
@@ -233,9 +236,7 @@ class SparseRangeSumEngine(RangeSumIndexMixin):
             self.rtree.insert(
                 Rect.from_box(box), payload=("region", number)
             )
-        self._outlier_values: dict[tuple[int, ...], object] = {}
         for point in result.outliers:
-            self._outlier_values[point] = cube.cells[point]
             self.rtree.insert(
                 Rect.from_cell(point), payload=("point", point)
             )
@@ -270,13 +271,12 @@ class SparseRangeSumEngine(RangeSumIndexMixin):
         return {"block_size": self.block_size}
 
     def apply_updates(self, updates: Sequence[PointUpdate]) -> int:
-        """Protocol batch path: route each delta via :meth:`apply_update`.
+        """Protocol batch path: stage the whole batch, then write it.
 
         Returns:
             The number of updates absorbed.
         """
-        for update in updates:
-            self.apply_update(update.index, update.delta)
+        self._absorb(updates)
         return len(updates)
 
     def range_sum(
@@ -302,7 +302,7 @@ class SparseRangeSumEngine(RangeSumIndexMixin):
             else:
                 _, point = payload
                 if box.contains_point(point):
-                    total = total + self._outlier_values[point]
+                    total = total + self.cube.cells[point]
         return total
 
     def apply_update(self, index: Sequence[int], delta: object) -> str:
@@ -310,39 +310,72 @@ class SparseRangeSumEngine(RangeSumIndexMixin):
 
         Routing: a cell inside a dense region updates that region's
         prefix structure (the §5 batch machinery, batch of one); a known
-        outlier adjusts its stored value; a brand-new cell becomes a new
-        outlier in the R*-tree.  Dense regions are **not** re-discovered
-        — like any physical design, the partition degrades gracefully
-        under drift and is rebuilt by re-running the constructor.
+        outlier adjusts its ``cube.cells`` value; a brand-new cell becomes
+        a new outlier in the R*-tree.  Dense regions are **not**
+        re-discovered — like any physical design, the partition degrades
+        gracefully under drift and is rebuilt by re-running the
+        constructor.
 
         Returns:
             Which path absorbed the update: ``"region"``, ``"outlier"``
             or ``"new-outlier"``.
         """
-        from repro.core.batch_update import PointUpdate
+        return self._absorb([PointUpdate(index, delta)])[0]
 
-        point = tuple(int(i) for i in index)
-        if len(point) != self.cube.ndim or not all(
-            0 <= i < n for i, n in zip(point, self.cube.shape)
-        ):
-            raise ValueError(
-                f"cell {index} outside the cube shape {self.cube.shape}"
-            )
-        self.cube.cells[point] = self.cube.cells.get(point, 0) + delta
-        for region in self.regions:
+    def _absorb(self, updates: Sequence[PointUpdate]) -> list[str]:
+        """Stage every region's share of the batch against its source
+        (:func:`~repro.core.batch_update.stage_changes`), so an index
+        outside the cube (``ValueError``) or an unfit delta
+        (:class:`~repro.core.batch_update.UnfitUpdate`) changes nothing;
+        then write ``cube.cells`` and each touched region once.  Returns
+        each update's route (see :meth:`apply_update`)."""
+        located: list[tuple[tuple[int, ...], int | None, object]] = []
+        shares: dict[int, list[PointUpdate]] = {}
+        for update in updates:
+            point = tuple(int(i) for i in update.index)
+            if len(point) != self.cube.ndim or not all(
+                0 <= i < n for i, n in zip(point, self.cube.shape)
+            ):
+                raise ValueError(
+                    f"cell {update.index} outside the cube shape "
+                    f"{self.cube.shape}"
+                )
+            owner = self._region_of(point)
+            if owner is not None:
+                lo = self.regions[owner].box.lo
+                local = tuple(i - l for i, l in zip(point, lo))
+                shares.setdefault(owner, []).append(
+                    PointUpdate(local, update.delta)
+                )
+            located.append((point, owner, update.delta))
+        staged = {
+            owner: stage_changes(self.regions[owner].structure.source, share)
+            for owner, share in shares.items()
+        }
+        cells = self.cube.cells
+        routes: list[str] = []
+        for point, owner, delta in located:
+            if owner is not None:
+                routes.append("region")
+            elif point in cells:
+                routes.append("outlier")
+            else:
+                routes.append("new-outlier")
+                self.rtree.insert(
+                    Rect.from_cell(point), payload=("point", point)
+                )
+            if isinstance(delta, np.generic):
+                delta = delta.item()
+            cells[point] = cells.get(point, 0) + delta
+        for owner, changes in staged.items():
+            structure = self.regions[owner].structure
+            write_changes(structure.source, changes)
+            structure.absorb(changes)
+        return routes
+
+    def _region_of(self, point: tuple[int, ...]) -> int | None:
+        """The number of the dense region holding ``point``, if any."""
+        for number, region in enumerate(self.regions):
             if region.box.contains_point(point):
-                local = tuple(
-                    i - lo for i, lo in zip(point, region.box.lo)
-                )
-                region.structure.apply_updates(
-                    [PointUpdate(local, delta)]
-                )
-                return "region"
-        if point in self._outlier_values:
-            self._outlier_values[point] = (
-                self._outlier_values[point] + delta
-            )
-            return "outlier"
-        self._outlier_values[point] = delta
-        self.rtree.insert(Rect.from_cell(point), payload=("point", point))
-        return "new-outlier"
+                return number
+        return None

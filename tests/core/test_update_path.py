@@ -269,7 +269,7 @@ class ServedCubeHolder(Holder):
 
     def __init__(self, cube: np.ndarray, counts: np.ndarray) -> None:
         self.service = QueryService(ServeConfig(coalesce_window_s=0.0))
-        extra: dict = {} if self.with_engine else {"engine": None}
+        extra: dict = {} if self.with_engine else {"indexed": False}
         self.service.register_cube(
             "c",
             cube,

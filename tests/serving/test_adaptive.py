@@ -93,7 +93,13 @@ class TestControllerCycle:
         async def main() -> None:
             service = make_service()
             await drive_hot_traffic(service)
-            controller = AdaptiveController(service, hysteresis=0.5)
+            plan_delta = service.plan_delta
+
+            def failing_plan_delta(cube, snapshot):
+                return plan_delta(cube, snapshot, hysteresis=0.5)
+
+            service.plan_delta = failing_plan_delta  # type: ignore[method-assign]
+            controller = AdaptiveController(service)
             deltas = await controller.run_cycle()
             assert deltas == {}
             assert controller.last_error is not None
@@ -106,10 +112,8 @@ class TestControllerCycle:
 
     def test_background_loop_start_stop(self) -> None:
         async def main() -> None:
-            service = make_service()
-            async with AdaptiveController(
-                service, interval_s=0.01
-            ) as controller:
+            service = make_service(adaptive_interval_s=0.01)
+            async with AdaptiveController(service) as controller:
                 await drive_hot_traffic(service)
                 for _ in range(200):
                     await asyncio.sleep(0.01)
@@ -557,7 +561,7 @@ class TestSwapResourceReclamation:
             data = rng.integers(0, 50, size=SHAPE, dtype=np.int64)
             backend = MemmapBackend(spill)
             service.register_cube(
-                "c", data, backend=backend, plan=plans[0], engine=None
+                "c", data, backend=backend, plan=plans[0], indexed=False
             )
             cube = service.cubes["c"]
             controller = AdaptiveController(service)
@@ -620,7 +624,7 @@ class TestSwapResourceReclamation:
                 data,
                 backend=MemmapBackend(spill),
                 plan=[Materialization((0, 1), 4, 36.0)],
-                engine=None,
+                indexed=False,
             )
             cube = service.cubes["c"]
             controller = AdaptiveController(service)

@@ -1,14 +1,16 @@
-"""Differential tests: served answers ≡ direct engine answers, bit for bit.
+"""Differential tests: served answers ≡ a numpy shadow ≡ direct engine
+answers, bit for bit.
 
 Scenarios come from the fuzz harness's generator
 (:func:`repro.verify.scenarios.scenario_for` /
 :func:`~repro.verify.driver.build_source`), so cube shapes, dtypes, and
 backends sweep the same adversarial space the verification suite covers
 and every value is exactly representable — equality below is ``==``, not
-``approx``.  The reference :class:`RangeQueryEngine` is built
-*independently* of the service's, so agreement is end-to-end: parsing,
-routing, coalescing, caching, and updates all have to preserve the
-engine's answers exactly.
+``approx``.  The truth is a numpy ``shadow`` copy the service never
+sees; the reference :class:`RangeQueryEngine` is built *independently*
+of the service's and kept as a cross-check.  Agreement is end-to-end:
+parsing, routing, coalescing, caching, updates (accepted and rejected)
+and plan swaps all have to preserve the answers exactly.
 """
 
 from __future__ import annotations
@@ -22,7 +24,11 @@ import pytest
 from repro._util import Box
 from repro.core.batch_update import PointUpdate
 from repro.index.backend import MemmapBackend
+from repro.optimizer.advisor import DesignDelta
+from repro.optimizer.cuboid_selection import Materialization
 from repro.query import RangeQueryEngine
+from repro.serving import AdaptiveController
+from repro.serving.errors import BadRequest
 from repro.serving.service import QueryService, ServeConfig
 from repro.verify.driver import build_source
 from repro.verify.scenarios import scenario_for
@@ -66,9 +72,27 @@ def _updatable(dtype: np.dtype) -> bool:
     return dtype.kind in ("i", "f")
 
 
-async def _compare_scalars(service, engine, boxes, *, generation):
+def _exact_sum(window: np.ndarray) -> object:
+    """``window``'s sum as the Python number the service must answer."""
+    dtype = {"u": np.uint64, "f": np.float64}.get(window.dtype.kind, np.int64)
+    return window.sum(dtype=dtype).item()
+
+
+def _shadow_answer(shadow: np.ndarray, op: str, box: Box) -> object:
+    """sum/count/average over ``box`` computed straight from ``shadow``."""
+    window = shadow[box.slices()]
+    total = _exact_sum(window)
+    if op == "sum":
+        return total
+    if op == "count":
+        return window.size
+    return None if window.size == 0 else float(total) / float(window.size)
+
+
+async def _compare_scalars(service, engine, boxes, *, generation, shadow=None):
     """Ask sum/count/average for every box concurrently (coalescing on)
-    and compare each answer to the direct engine call, exactly."""
+    and compare each answer exactly to ``shadow`` (when given) and to the
+    direct engine call."""
     for op in ("sum", "count", "average"):
         served = await asyncio.gather(
             *(
@@ -80,6 +104,12 @@ async def _compare_scalars(service, engine, boxes, *, generation):
         )
         direct = [getattr(engine, op)(box) for box in boxes]
         for box, got, want in zip(boxes, served, direct):
+            if shadow is not None:
+                truth = _shadow_answer(shadow, op, box)
+                assert got["value"] == truth, (
+                    f"{op} over {box}: served {got['value']!r} "
+                    f"(tier {got['tier']}) vs shadow {truth!r}"
+                )
             assert got["value"] == want, (
                 f"{op} over {box} diverged: served {got['value']!r} "
                 f"(tier {got['tier']}) vs engine {want!r}"
@@ -87,8 +117,9 @@ async def _compare_scalars(service, engine, boxes, *, generation):
             assert got["generation"] == generation
 
 
-async def _compare_witnesses(service, engine, boxes):
-    """MAX/MIN: values must match exactly; witnesses must be valid."""
+async def _compare_witnesses(service, engine, boxes, shadow):
+    """MAX/MIN: values must match ``shadow`` and the engine exactly, and
+    each witness must be a cell of the box holding that value."""
     for op in ("max", "min"):
         for box in boxes:
             if box.is_empty:
@@ -96,15 +127,39 @@ async def _compare_witnesses(service, engine, boxes):
             got = await service.query(
                 {"cube": "t", "op": op, "ranges": to_ranges(box)}
             )
+            window = shadow[box.slices()]
+            truth = window.max() if op == "max" else window.min()
+            assert got["value"] == truth, (
+                f"{op} over {box}: served {got['value']!r} vs "
+                f"shadow {truth!r}"
+            )
             index, value = getattr(engine, op)(box)
             assert got["value"] == value, (
                 f"{op} over {box}: served {got['value']!r} vs "
                 f"engine {value!r}"
             )
-            served_cell = service.cubes["t"].base[
-                tuple(got["index"])
-            ]
-            assert served_cell == value  # any argmax/argmin witness
+            witness = tuple(got["index"])
+            assert box.contains_point(witness), (op, box, witness)
+            assert shadow[witness] == truth  # any argmax/argmin witness
+
+
+async def _compare_slices(service, shadow):
+    """``/slice`` fixing the first and the last dimension, against
+    ``shadow`` with the same coordinates fixed."""
+    ndim = shadow.ndim
+    for dim in sorted({0, ndim - 1}):
+        rank = shadow.shape[dim] // 2
+        selector = [slice(None)] * ndim
+        selector[dim] = rank
+        window = shadow[tuple(selector)]
+        for op, truth in (
+            ("sum", _exact_sum(window)),
+            ("max", window.max()),
+        ):
+            got = await service.slice(
+                {"cube": "t", "op": op, "fixed": {str(dim): rank}}
+            )
+            assert got["value"] == truth, (op, dim, got)
 
 
 def _kbox_rollup(shape, dims) -> tuple[np.ndarray, np.ndarray]:
@@ -141,6 +196,28 @@ async def _compare_rollups(service, engine, shadow):
                     assert got["values"] == kbox.tolist(), (op, dims)
 
 
+async def _swap_plan(service, ndim: int) -> None:
+    """An ``/advise`` round, then a hot swap to a plan with a cuboid over
+    every dimension (the one cuboid that reads the base itself)."""
+    await service.advise({"cube": "t"})
+    cube = service.cubes["t"]
+    await AdaptiveController(service).actuate(
+        cube,
+        DesignDelta(
+            shape=cube.shape,
+            incumbent=cube.plan,
+            candidate=(
+                Materialization(tuple(range(ndim)), 2, 0.0),
+                Materialization((1,), 1, 0.0),
+            ),
+            incumbent_cost=1000.0,
+            candidate_cost=10.0,
+            build_cost=1.0,
+            hysteresis=1.0,
+        ),
+    )
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 def test_served_equals_engine(seed, tmp_path) -> None:
     scenario = scenario_for("prefix_sum", seed)
@@ -151,23 +228,49 @@ def test_served_equals_engine(seed, tmp_path) -> None:
     )
     engine = RangeQueryEngine(source.copy())
     shadow = source.copy()
-    service = QueryService(
-        ServeConfig(coalesce_window_s=0.002, coalesce_max_batch=64)
-    )
-    service.register_cube("t", source, backend=backend)
+    ndim = source.ndim
+    service = QueryService(ServeConfig(coalesce_window_s=0.002))
+    plan = [Materialization((0, 1), 2, 0.0)] if ndim >= 2 else None
+    service.register_cube("t", source, backend=backend, plan=plan)
 
     rng = np.random.default_rng([BOX_TAG, seed])
     boxes = [random_box(rng, scenario.shape) for _ in range(10)]
     boxes += [empty_box(rng, scenario.shape) for _ in range(2)]
 
+    async def compare_all(generation: int) -> None:
+        await _compare_scalars(
+            service, engine, boxes, generation=generation, shadow=shadow
+        )
+        await _compare_witnesses(service, engine, boxes, shadow)
+        await _compare_rollups(service, engine, shadow)
+        await _compare_slices(service, shadow)
+
     async def drive() -> None:
-        await _compare_scalars(service, engine, boxes, generation=0)
-        await _compare_witnesses(service, engine, boxes)
+        await compare_all(generation=0)
         # Second pass: answers now come from the cache and must still
         # be identical.
-        await _compare_scalars(service, engine, boxes, generation=0)
+        await _compare_scalars(
+            service, engine, boxes, generation=0, shadow=shadow
+        )
         assert service.cache.stats()["hits"] > 0
-        await _compare_rollups(service, engine, shadow)
+        generation = 0
+
+        if source.dtype.kind in "iu":
+            # A delta no cell of the dtype can take: a 400 that changes
+            # neither the generation nor any answer.
+            unfit = int(np.iinfo(source.dtype).max) + 1
+            with pytest.raises(BadRequest):
+                await service.update(
+                    {
+                        "cube": "t",
+                        "updates": [
+                            {"index": [0] * ndim, "delta": 1},
+                            {"index": [0] * ndim, "delta": unfit},
+                        ],
+                    }
+                )
+            assert service.cubes["t"].generation == generation
+            await compare_all(generation)
 
         if _updatable(source.dtype):
             update_rng = np.random.default_rng([UPDATE_TAG, seed])
@@ -180,6 +283,7 @@ def test_served_equals_engine(seed, tmp_path) -> None:
                 delta = int(update_rng.integers(-9, 10))
                 updates.append({"index": list(index), "delta": delta})
             await service.update({"cube": "t", "updates": updates})
+            generation += 1
             engine.apply_updates(
                 [
                     PointUpdate(tuple(u["index"]), u["delta"])
@@ -189,9 +293,12 @@ def test_served_equals_engine(seed, tmp_path) -> None:
             for u in updates:
                 shadow[tuple(u["index"])] += u["delta"]
             # Post-update: stale cache entries must not leak through.
-            await _compare_scalars(service, engine, boxes, generation=1)
-            await _compare_witnesses(service, engine, boxes)
-            await _compare_rollups(service, engine, shadow)
+            await compare_all(generation)
+
+        if ndim >= 2:
+            await _swap_plan(service, ndim)
+            generation += 1
+            await compare_all(generation)
 
     asyncio.run(drive())
     # The concurrent asks really did coalesce into shared gathers.

@@ -8,7 +8,6 @@ import pytest
 from repro._util import Box
 from repro.optimizer.cuboid_selection import Materialization
 from repro.query.ranges import RangeQuery, RangeSpec
-from repro.serving.errors import Unsupported
 from repro.serving.router import TieredRouter
 from repro.serving.service import QueryService
 
@@ -64,36 +63,13 @@ class TestChoice:
 
     def test_fallback_when_no_engine(self, data) -> None:
         service = QueryService()
-        cube = service.register_cube("c", data, engine=None)
+        cube = service.register_cube("c", data, indexed=False)
         router = TieredRouter()
         rq = query_over([None, None, None])
         box = rq.to_box(cube.shape)
         for op in ("sum", "count", "average", "max", "min"):
             assert router.choose_scalar(cube, op, rq, box) == "fallback"
         assert router.choose_batch(cube, "sum") == "fallback"
-
-    def test_no_tier_raises_unsupported(self, data) -> None:
-        service = QueryService()
-        cube = service.register_cube(
-            "c", data, engine=None, fallback=False
-        )
-        router = TieredRouter()
-        rq = query_over([None, None, None])
-        box = rq.to_box(cube.shape)
-        with pytest.raises(Unsupported):
-            router.choose_scalar(cube, "sum", rq, box)
-        with pytest.raises(Unsupported):
-            router.choose_batch(cube, "sum")
-
-    def test_max_without_max_route_falls_back(self, data) -> None:
-        service = QueryService()
-        cube = service.register_cube("c", data, max_index=None)
-        router = TieredRouter()
-        rq = query_over([None, None, None])
-        box = rq.to_box(cube.shape)
-        assert router.choose_scalar(cube, "sum", rq, box) == "indexed"
-        assert router.choose_scalar(cube, "max", rq, box) == "fallback"
-        assert router.choose_batch(cube, "max") == "fallback"
 
 
 class TestExecution:

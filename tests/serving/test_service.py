@@ -14,7 +14,6 @@ from repro.serving.errors import (
     BadRequest,
     CubeInconsistent,
     UnknownResource,
-    Unsupported,
 )
 from repro.serving.service import QueryService, ServeConfig
 
@@ -43,7 +42,7 @@ ROLLUP_REGISTRATIONS = {
         "sum_params": {"block_size": 8},
         "plan": _PLAN,
     },
-    "cuboid_only": {"engine": None, "fallback": False, "plan": _PLAN},
+    "cuboid_only": {"indexed": False, "plan": _PLAN},
 }
 
 #: Exact cuboid key, ancestor reduce, base reduce, and unsorted orders.
@@ -170,12 +169,10 @@ class TestBatchSliceRollup:
     def test_batch_validation(self, service) -> None:
         with pytest.raises(BadRequest):
             run(service.query_batch({"cube": "sales", "queries": []}))
-        tight = QueryService(ServeConfig(max_batch_rows=2))
-        tight.register_cube("c", np.ones((3, 3)))
-        with pytest.raises(BadRequest):
+        with pytest.raises(BadRequest, match="row cap 4096"):
             run(
-                tight.query_batch(
-                    {"cube": "c", "queries": [[None, None]] * 3}
+                service.query_batch(
+                    {"cube": "sales", "queries": [[None] * 3] * 4097}
                 )
             )
 
@@ -243,9 +240,7 @@ class TestBatchSliceRollup:
             if op == "sum" and covered:
                 tier = "materialized"
             elif registration == "cuboid_only":
-                with pytest.raises(Unsupported):
-                    run(service.rollup(payload))
-                continue
+                tier = "fallback"
             else:
                 tier = "indexed"
             result = run(service.rollup(payload))
@@ -293,10 +288,10 @@ class TestBatchSliceRollup:
                     {"cube": "sales", "dims": [0], "op": "max"}
                 )
             )
-        tight = QueryService(ServeConfig(max_rollup_cells=4))
-        tight.register_cube("c", np.ones((3, 3)))
-        with pytest.raises(BadRequest):
-            run(tight.rollup({"cube": "c", "dims": [0, 1]}))
+        wide = QueryService()
+        wide.register_cube("c", np.ones((257, 256)))
+        with pytest.raises(BadRequest, match="cap 65536"):
+            run(wide.rollup({"cube": "c", "dims": [0, 1]}))
 
 
 class TestUpdate:
@@ -367,7 +362,7 @@ class TestUpdate:
         served = service.register_cube(
             "ingested",
             cuboid_set=result.cuboid_set,
-            engine=None,
+            indexed=False,
             backend=result.backend,
         )
         assert np.shares_memory(served.base, result.cuboid_set.base)
@@ -413,23 +408,6 @@ class TestUpdate:
             assert served.base[0, 0, 0] == shifted[0, 0, 0]
 
         run(scenario())
-
-    def test_prebuilt_engine_counts_must_match(self, data) -> None:
-        """counts= beside engine= must be the counts the engine holds:
-        the served cube answers COUNT and takes count_updates from it."""
-        service = QueryService(ServeConfig(coalesce_window_s=0.0))
-        ones = np.ones_like(data)
-        with pytest.raises(ValueError, match="without a counts cube"):
-            service.register_cube(
-                "c", data, engine=RangeQueryEngine(data), counts=ones
-            )
-        engine = RangeQueryEngine(data, counts=ones)
-        with pytest.raises(ValueError, match="different data"):
-            service.register_cube(
-                "c", data, engine=engine, counts=ones + 1
-            )
-        served = service.register_cube("c", data, engine=engine, counts=ones)
-        assert served.counts is engine.counts
 
     def test_cuboid_set_over_different_data_rejected(self, data) -> None:
         """cube= plus cuboid_set= must cover the same data; a set built
@@ -641,7 +619,7 @@ class TestUpdate:
         """
         data = np.full((2, 2), 100, dtype=np.uint16)
         service = QueryService(ServeConfig(coalesce_window_s=0.0))
-        service.register_cube("u", data, engine=None)
+        service.register_cube("u", data, indexed=False)
 
         async def scenario() -> None:
             result = await service.update(
@@ -721,7 +699,7 @@ class TestUpdate:
         service = QueryService(
             ServeConfig(coalesce_window_s=0.0, offload_cells=1)
         )
-        service.register_cube("c", data, engine=None)
+        service.register_cube("c", data, indexed=False)
         release = threading.Event()
 
         async def scenario() -> None:
@@ -830,16 +808,10 @@ class TestRegistration:
         with pytest.raises(ValueError):
             service.register_cube("a/b", data)
 
-    def test_prebuilt_engine_shape_check(self, data) -> None:
-        service = QueryService()
-        engine = RangeQueryEngine(np.ones((2, 2)))
-        with pytest.raises(ValueError):
-            service.register_cube("c", data, engine=engine)
-
     def test_registration_copies_the_cube(self, data) -> None:
         source = data.copy()
         service = QueryService(ServeConfig(coalesce_window_s=0.0))
-        service.register_cube("c", source, engine=None)
+        service.register_cube("c", source, indexed=False)
         source[0, 0, 0] += 1000  # caller-side mutation is invisible
         result = run(
             service.query({"cube": "c", "ranges": [0, 0, 0]})
@@ -969,7 +941,7 @@ class TestStats:
 
         service = QueryService(ServeConfig(coalesce_window_s=0.0))
         cube = service.register_cube(
-            "c", data, engine=None, plan=[Materialization((0, 1), 1, 0.0)]
+            "c", data, indexed=False, plan=[Materialization((0, 1), 1, 0.0)]
         )
 
         def ask(payload: dict, tier: str) -> int:

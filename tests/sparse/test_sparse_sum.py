@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro._util import Box
+from repro.core.batch_update import PointUpdate, UnfitUpdate
 from repro.instrumentation import AccessCounter
 from repro.query.workload import clustered_points, random_box
 from repro.sparse.sparse_cube import SparseCube
@@ -247,3 +248,22 @@ class TestIncrementalUpdates:
         engine, _ = engine_and_cube
         with pytest.raises(ValueError):
             engine.apply_update((64, 0), 1)
+
+    def test_rejected_batch_changes_nothing(self):
+        """A batch with one unfit delta is staged whole before any write:
+        the fitting ``+4`` must not land in the region or ``cube.cells``."""
+        dense = np.zeros((8, 8), dtype=np.int64)
+        dense[0:4, 0:4] = 5
+        dense[7, 7] = 3
+        cube = SparseCube.from_dense(dense)
+        engine = SparseRangeSumEngine(cube)
+        full = Box((0, 0), (7, 7))
+        cells = dict(cube.cells)
+        assert engine.range_sum(full) == 83
+        with pytest.raises(UnfitUpdate):
+            engine.apply_updates(
+                [PointUpdate((2, 3), 4), PointUpdate((1, 1), 0.5)]
+            )
+        assert engine.range_sum(full) == 83
+        assert cube.cells == cells
+        assert cube.naive_range_sum(full) == 83
