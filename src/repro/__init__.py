@@ -58,7 +58,6 @@ from repro.index import (
     register_index,
 )
 from repro.instrumentation import AccessCounter
-from repro.io import load_index, save_index
 from repro.optimizer import MaterializedCuboidSet
 from repro.query import (
     QueryStatistics,
@@ -113,9 +112,7 @@ __all__ = [
     "apply_max_updates",
     "available_indexes",
     "create_index",
-    "load_index",
     "progressive_bounds",
     "register_index",
-    "save_index",
     "__version__",
 ]

@@ -288,7 +288,7 @@ class PrefixSumCube(RangeSumIndexMixin):
         self.prefix_dims, self.passive_dims = split_prefix_dims(
             prefix_dims, cube.ndim
         )
-        # An archive names X' only when the constructor was given one, so
+        # A manifest names X' only when the constructor was given one, so
         # each registry name keeps the key set it has always written.
         self._dims_given = prefix_dims is not None
         self.prefix = compute_prefix_array(

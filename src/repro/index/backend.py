@@ -182,8 +182,8 @@ class MemmapBackend(ArrayBackend):
 
         Structures call this at the end of ``apply_updates``: in-place
         deltas otherwise sit in the page cache only, so reading a spill
-        file by path (``save_index``, another process) can observe the
-        pre-update bytes.  Released arrays are not flushed — their files
+        file by path (another process, a copy of the file) can observe
+        the pre-update bytes.  Released arrays are not flushed — their files
         are gone, and re-flushing every array ever allocated made each
         update batch O(total builds) instead of O(live arrays).
         """
@@ -286,7 +286,7 @@ class AdoptingBackend(ArrayBackend):
         return self.inner.empty(name, shape, dtype)
 
     def materialize(self, name: str, array: np.ndarray) -> np.ndarray:
-        adopted = np.asarray(array)
+        adopted = np.asanyarray(array)
         if _backing_memmap(adopted) is not None:
             self._adopted.append(adopted)
         return adopted

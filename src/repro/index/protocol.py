@@ -158,7 +158,7 @@ class _IndexBase:
             info.update(backend.describe())
         return info
 
-    # -- persistence hooks (see repro.io.save_index / load_index) -------
+    # -- persistence hooks (see repro.io.save_index_manifest / open_index)
 
     def state_dict(self) -> dict[str, Any]:
         """Defining arrays + scalar params, enough to reconstruct."""

@@ -120,7 +120,7 @@ def register_index(
     Args:
         name: Canonical registry name (``snake_case``).
         kind: ``"sum"`` or ``"max"`` — which aggregate family it serves.
-        persistable: Whether :func:`repro.io.save_index` supports it
+        persistable: Whether :func:`repro.io.save_index_manifest` supports it
             (structures built on pointer-heavy secondary indexes opt out).
         sparse_input: Whether the factory takes a
             :class:`~repro.sparse.SparseCube` instead of an ndarray.

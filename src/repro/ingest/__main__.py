@@ -61,22 +61,18 @@ def _parse_cuboids(text: str) -> list[tuple[int, ...]]:
 def _persist(result: IngestResult, directory: Path) -> dict[str, object]:
     """Write each built structure under ``directory``; returns a record.
 
-    Spilled builds persist as zero-copy manifests over their own spill
-    files (:func:`repro.io.save_index_manifest`); in-memory builds fall
-    back to self-contained ``.npz`` archives.
+    Every structure persists as a manifest
+    (:func:`repro.io.save_index_manifest`): a spilled build's arrays are
+    referenced in place, an in-memory build's are written beside it.
     """
-    from repro.io import save_index, save_index_manifest
+    from repro.io import save_index_manifest
 
     directory.mkdir(parents=True, exist_ok=True)
     record: dict[str, object] = {}
     for cuboid in result.cuboid_set.cuboids:
         name = "cuboid-" + "-".join(str(j) for j in cuboid.key)
-        if result.spilled:
-            target = directory / f"{name}.manifest.json"
-            save_index_manifest(cuboid.structure, target)
-        else:
-            target = directory / f"{name}.npz"
-            save_index(cuboid.structure, target)
+        target = directory / f"{name}.manifest.json"
+        save_index_manifest(cuboid.structure, target)
         record[name] = str(target)
     if result.spilled:
         backend = result.base_backend

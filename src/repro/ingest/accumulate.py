@@ -119,23 +119,19 @@ class MultiCuboidAccumulator:
         self.base = self.base_scope.empty("base", plan.shape, plan.base_dtype)
         self.base[...] = 0
         self._base_flat = self.base.reshape(-1)
-        self.cuboids: list[CuboidAccumulator] = []
-        for chosen in plan.cuboids:
-            dtype = (
-                plan.base_dtype
-                if len(chosen.key) == plan.ndim
-                else plan.group_dtype
+        #: One accumulator per cuboid that drops a dimension, in plan
+        #: order; a cuboid over every dimension reads ``base`` itself.
+        self.cuboids: list[CuboidAccumulator] = [
+            CuboidAccumulator(
+                "cuboid-" + "-".join(str(j) for j in chosen.key),
+                chosen.key,
+                plan.cuboid_shape(chosen.key),
+                plan.group_dtype,
+                self.cuboid_scope,
             )
-            name = "cuboid-" + "-".join(str(j) for j in chosen.key)
-            self.cuboids.append(
-                CuboidAccumulator(
-                    name,
-                    chosen.key,
-                    plan.cuboid_shape(chosen.key),
-                    dtype,
-                    self.cuboid_scope,
-                )
-            )
+            for chosen in plan.cuboids
+            if len(chosen.key) < plan.ndim
+        ]
         self.rows = 0
         self.batches = 0
 

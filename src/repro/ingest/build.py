@@ -93,13 +93,21 @@ def _finalize(
     structure constructor (``materialize`` becomes adoption) while any
     *fresh* arrays a structure needs — a blocked-partial's positions,
     say — still allocate in the cuboid scope, so everything the finished
-    set owns releases as one unit.
+    set owns releases as one unit.  A cuboid over every dimension is
+    built over the base accumulator, as
+    :class:`~repro.optimizer.MaterializedCuboidSet` builds it over ``A``.
     """
     plan = accumulator.plan
     adopting = AdoptingBackend(accumulator.cuboid_scope)
+    group_bys = iter(accumulator.cuboids)
     structures = [
-        chosen.index_spec().build(acc.cells, backend=adopting)
-        for chosen, acc in zip(plan.cuboids, accumulator.cuboids)
+        chosen.index_spec().build(
+            accumulator.base
+            if len(chosen.key) == plan.ndim
+            else next(group_bys).cells,
+            backend=adopting,
+        )
+        for chosen in plan.cuboids
     ]
     cuboid_set = MaterializedCuboidSet.from_accumulated(
         accumulator.base, plan.cuboids, structures, backend=adopting

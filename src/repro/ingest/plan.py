@@ -113,19 +113,16 @@ class IngestPlan:
     def accumulator_bytes(self) -> int:
         """Total bytes of every dense accumulator the plan allocates.
 
-        The base cube in the measure dtype plus each cuboid's group-by
-        cells in the sum-promoted dtype — the resident price of the
-        one-pass build before any finalize structure is added.
+        The base cube in the measure dtype plus the group-by cells, in
+        the sum-promoted dtype, of each cuboid that drops a dimension (a
+        cuboid over every dimension reads the base) — the resident price
+        of the one-pass build before any finalize structure is added.
         """
         total = int(np.prod(self.shape)) * self.base_dtype.itemsize
-        ndim = self.ndim
         for chosen in self.cuboids:
-            dtype = (
-                self.base_dtype
-                if len(chosen.key) == ndim
-                else self.group_dtype
-            )
-            total += int(np.prod(self.cuboid_shape(chosen.key))) * dtype.itemsize
+            if len(chosen.key) < self.ndim:
+                cells = int(np.prod(self.cuboid_shape(chosen.key)))
+                total += cells * self.group_dtype.itemsize
         return total
 
     @property

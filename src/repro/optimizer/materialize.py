@@ -127,7 +127,8 @@ class MaterializedCuboidSet:
             base: The accumulated base cube (adopted as-is; for spilled
                 ingests this is a memmap).
             plan: The materializations, aligned with ``structures``.
-            structures: One built structure per plan entry.
+            structures: One built structure per plan entry; one over
+                every dimension must read ``base`` itself.
             backend: The backend the accumulators were allocated
                 through; retained so :meth:`release` can reclaim the
                 whole build.
@@ -147,7 +148,7 @@ class MaterializedCuboidSet:
         self.backend = backend
         self.plan = plan
         self.cuboids = [
-            MaterializedCuboid(chosen.key, structure)
+            MaterializedCuboid(chosen.key, structure, len(chosen.key) == self.ndim)
             for chosen, structure in zip(plan, structures)
         ]
         return self

@@ -26,7 +26,6 @@ from repro.serving.errors import (
     QueryTimeout,
     ServingError,
     UnknownResource,
-    Unsupported,
 )
 from repro.serving.http import ServingServer
 from repro.serving.router import SCALAR_OPS, TIERS, TieredRouter
@@ -61,6 +60,5 @@ __all__ = [
     "SwapInFlight",
     "TieredRouter",
     "UnknownResource",
-    "Unsupported",
     "cache_key",
 ]

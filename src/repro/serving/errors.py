@@ -38,14 +38,6 @@ class UnknownResource(ServingError):
     code = "not_found"
 
 
-class Unsupported(ServingError):
-    """A valid request the cube's tiers cannot answer (an operator the
-    fallback scan does not implement)."""
-
-    status = 422
-    code = "unsupported"
-
-
 class Overloaded(ServingError):
     """Admission control shed the request: in-flight and queue full.
 

@@ -48,7 +48,6 @@ REASONS = {
     400: "Bad Request",
     404: "Not Found",
     405: "Method Not Allowed",
-    422: "Unprocessable Entity",
     429: "Too Many Requests",
     500: "Internal Server Error",
     504: "Gateway Timeout",

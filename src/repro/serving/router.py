@@ -41,7 +41,6 @@ from repro.query.naive import (
     naive_range_sum,
 )
 from repro.query.ranges import RangeQuery
-from repro.serving.errors import Unsupported
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.serving.service import ServedCube
@@ -184,10 +183,8 @@ class TieredRouter:
         if op == "max":
             index = naive_max_index(base, box, counter)
             return index, py_scalar(base[index])
-        if op == "min":
-            index = naive_min_index(base, box, counter)
-            return index, py_scalar(base[index])
-        raise Unsupported(f"unknown operator {op!r}")
+        index = naive_min_index(base, box, counter)  # "min"
+        return index, py_scalar(base[index])
 
     def run_batch(
         self,

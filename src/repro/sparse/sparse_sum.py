@@ -220,13 +220,16 @@ class SparseRangeSumEngine(RangeSumIndexMixin):
         self.shape = tuple(int(n) for n in cube.shape)
         self.ndim = cube.ndim
         self.block_size = int(block_size)
+        #: The dense dtype of every region, and the one an outlier's
+        #: update is checked against.
+        self.dtype = cube.value_dtype()
         result = find_dense_regions(
             list(cube.points()), cube.shape, region_config
         )
         self.regions: list[_RegionIndex] = []
         self.rtree = RStarTree(max_entries=rtree_max_entries)
         for number, box in enumerate(result.regions):
-            dense = cube.densify(box)
+            dense = cube.densify(box, self.dtype)
             structure: PrefixSumCube | BlockedPrefixSumCube
             if block_size == 1:
                 structure = PrefixSumCube(dense)
@@ -324,8 +327,9 @@ class SparseRangeSumEngine(RangeSumIndexMixin):
 
     def _absorb(self, updates: Sequence[PointUpdate]) -> list[str]:
         """Stage every region's share of the batch against its source
-        (:func:`~repro.core.batch_update.stage_changes`), so an index
-        outside the cube (``ValueError``) or an unfit delta
+        and the outliers' share against their cells in the regions'
+        dtype (:func:`~repro.core.batch_update.stage_changes`), so an
+        index outside the cube (``ValueError``) or an unfit delta
         (:class:`~repro.core.batch_update.UnfitUpdate`) changes nothing;
         then write ``cube.cells`` and each touched region once.  Returns
         each update's route (see :meth:`apply_update`)."""
@@ -353,6 +357,17 @@ class SparseRangeSumEngine(RangeSumIndexMixin):
             for owner, share in shares.items()
         }
         cells = self.cube.cells
+        slots: dict[tuple[int, ...], int] = {}
+        outliers = [
+            PointUpdate((slots.setdefault(point, len(slots)),), delta)
+            for point, owner, delta in located
+            if owner is None
+        ]
+        if outliers:
+            stage_changes(
+                np.array([cells.get(p, 0) for p in slots], dtype=self.dtype),
+                outliers,
+            )
         routes: list[str] = []
         for point, owner, delta in located:
             if owner is not None:

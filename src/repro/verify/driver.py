@@ -18,7 +18,6 @@ never sees.
 
 from __future__ import annotations
 
-import io
 import tempfile
 import traceback
 from dataclasses import dataclass
@@ -367,20 +366,18 @@ def _step_update(scenario, info, index, shadow, rng):
 
 
 def _step_persist(scenario, info, index, shadow, rng):
-    from repro.io import load_index, save_index
+    from repro.io import open_index, save_index_manifest
 
-    buffer = io.BytesIO()
-    save_index(index, buffer)
-    buffer.seek(0)
-    clone = InstrumentedIndex(load_index(buffer))
-    box = _random_box(rng, scenario.shape)
-    if info.kind == "max":
-        detail = _check_max_query(info, clone, shadow, box, kind="persist")
-    else:
+    with tempfile.TemporaryDirectory(prefix="repro-persist-") as tmp:
+        manifest = save_index_manifest(index, f"{tmp}/index.json")
+        clone = InstrumentedIndex(open_index(manifest, mode="c"))
+        box = _random_box(rng, scenario.shape)
+        if info.kind == "max":
+            return _check_max_query(info, clone, shadow, box, kind="persist")
         expected = oracle_aggregate(shadow, box, scenario.operator)
         detail = clone.compare_query(box, expected)
-        if detail is not None:
-            detail["kind"] = "persist"
+    if detail is not None:
+        detail["kind"] = "persist"
     return detail
 
 

@@ -253,12 +253,10 @@ class TestMinOrder:
     """``order="min"``: the same tree keeping each node's minimum."""
 
     def test_min_tree_matches_naive_through_updates_and_persistence(
-        self, rng
+        self, rng, tmp_path
     ):
-        import io
-
         from repro.core.batch_update import PointUpdate
-        from repro.io import load_index, save_index
+        from repro.io import open_index, save_index_manifest
 
         cube = make_cube((17, 11), rng, low=-500, high=500)
         tree = RangeMaxTree(cube, fanout=3, order="min")
@@ -274,10 +272,9 @@ class TestMinOrder:
             tree.apply_updates(updates)
             for update in updates:
                 mirror[update.index] += update.delta
-            buffer = io.BytesIO()
-            save_index(tree, buffer)
-            buffer.seek(0)
-            clone = load_index(buffer)
+            clone = open_index(
+                save_index_manifest(tree, tmp_path / "tree.json"), mode="c"
+            )
             assert clone.order.name == "min"
             rebuilt = RangeMaxTree(mirror, fanout=3, order="min")
             for level in range(1, tree.height + 1):

@@ -373,15 +373,13 @@ class TestEngineBackendIntegration:
         )
         assert spilled.range_sum(query) == heap.range_sum(query)
 
-    def test_load_index_into_memmap_backend(self, rng, tmp_path):
-        from repro.io import load_index, save_index
+    def test_heap_structure_reopens_memory_mapped(self, rng, tmp_path):
+        from repro.io import open_index, save_index_manifest
 
-        cube = make_cube((15, 15), rng)
+        cube = make_cube((40, 40), rng)  # past the inline cutoff
         original = create_index("prefix_sum", cube)
-        archive = tmp_path / "p.npz"
-        save_index(original, archive)
-        backend = MemmapBackend(tmp_path / "spill")
-        restored = load_index(archive, backend=backend)
+        manifest = save_index_manifest(original, tmp_path / "p.json")
+        restored = open_index(manifest)
         assert isinstance(restored.prefix, np.memmap)
         assert np.array_equal(
             np.asarray(restored.prefix), original.prefix

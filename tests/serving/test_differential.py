@@ -143,6 +143,32 @@ async def _compare_witnesses(service, engine, boxes, shadow):
             assert shadow[witness] == truth  # any argmax/argmin witness
 
 
+async def _compare_batches(service, boxes, shadow, generation):
+    """``/query_batch``: one batch per operator, compared exactly to
+    ``shadow``.  sum/count/average take every box, empty ones included;
+    MAX/MIN take the non-empty boxes, each witness a cell of its box
+    holding the value."""
+    for op in ("sum", "count", "average", "max", "min"):
+        rows = [
+            box for box in boxes if op not in ("max", "min") or not box.is_empty
+        ]
+        got = await service.query_batch(
+            {"cube": "t", "op": op, "queries": [to_ranges(b) for b in rows]}
+        )
+        assert got["generation"] == generation
+        if op not in ("max", "min"):
+            truth = [_shadow_answer(shadow, op, box) for box in rows]
+            assert got["values"] == truth, (op, got["tier"])
+            continue
+        for box, value, index in zip(rows, got["values"], got["indices"]):
+            window = shadow[box.slices()]
+            truth = window.max() if op == "max" else window.min()
+            assert value == truth, (op, box, got["tier"])
+            witness = tuple(index)
+            assert box.contains_point(witness), (op, box, witness)
+            assert shadow[witness] == truth
+
+
 async def _compare_slices(service, shadow):
     """``/slice`` fixing the first and the last dimension, against
     ``shadow`` with the same coordinates fixed."""
@@ -242,6 +268,7 @@ def test_served_equals_engine(seed, tmp_path) -> None:
             service, engine, boxes, generation=generation, shadow=shadow
         )
         await _compare_witnesses(service, engine, boxes, shadow)
+        await _compare_batches(service, boxes, shadow, generation)
         await _compare_rollups(service, engine, shadow)
         await _compare_slices(service, shadow)
 

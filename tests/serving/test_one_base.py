@@ -64,9 +64,11 @@ def assert_one_base(cube: ServedCube) -> None:
                 assert np.shares_memory(array, cube.base), (cuboid.key, name)
 
 
-def _ingested(data: np.ndarray, spill: object) -> dict:
+def _ingested(
+    data: np.ndarray, spill: object, cuboids: tuple = CUBOIDS
+) -> dict:
     backend = None if spill is None else MemmapBackend(spill)
-    plan = IngestPlan(shape=SHAPE, cuboids=plan_cuboids(SHAPE, CUBOIDS, 2))
+    plan = IngestPlan(shape=SHAPE, cuboids=plan_cuboids(SHAPE, cuboids, 2))
     result = ingest(batches_from_cube(data), plan, backend=backend)
     return {
         "cuboid_set": result.cuboid_set,
@@ -112,6 +114,13 @@ REGISTRATIONS = {
     },
     "ingest-memory": lambda data, tmp: _ingested(data, None),
     "ingest-memmap": lambda data, tmp: _ingested(data, tmp / "spill"),
+    # A plan with the cuboid over every dimension: it reads the base.
+    "ingest-full-cuboid": lambda data, tmp: _ingested(
+        data, None, ((0, 1, 2), (1, 2))
+    ),
+    "ingest-full-cuboid-memmap": lambda data, tmp: _ingested(
+        data, tmp / "spill", ((0, 1, 2), (1, 2))
+    ),
     "advise-swap": lambda data, tmp: {
         "cube": data,
         "plan": [Materialization((0, 1), 2, 0.0)],

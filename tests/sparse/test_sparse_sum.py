@@ -267,3 +267,28 @@ class TestIncrementalUpdates:
         assert engine.range_sum(full) == 83
         assert cube.cells == cells
         assert cube.naive_range_sum(full) == 83
+
+    def test_outlier_rejects_what_a_region_cell_rejects(self):
+        """An outlier cell is checked against the regions' dtype: the
+        ``0.5`` a region cell refuses is refused at ``(7, 7)`` too, and
+        the fitting ``+4`` of the same batch does not land either."""
+        dense = np.zeros((8, 8), dtype=np.int64)
+        dense[0:4, 0:4] = 5
+        dense[7, 7] = 3
+        cube = SparseCube.from_dense(dense)
+        engine = SparseRangeSumEngine(cube)
+        full = Box((0, 0), (7, 7))
+        cells = dict(cube.cells)
+        with pytest.raises(UnfitUpdate):
+            engine.apply_updates([PointUpdate((1, 1), 0.5)])
+        for batch in (
+            [PointUpdate((7, 7), 0.5)],
+            [PointUpdate((2, 3), 4), PointUpdate((7, 7), 0.5)],
+            [PointUpdate((6, 0), 2), PointUpdate((6, 0), 0.5)],
+        ):
+            with pytest.raises(UnfitUpdate):
+                engine.apply_updates(batch)
+            assert engine.range_sum(full) == 83
+            assert cube.cells == cells
+        assert engine.apply_update((7, 7), 2) == "outlier"
+        assert engine.range_sum(full) == 85

@@ -130,9 +130,7 @@ class TestMemmapFlush:
     ):
         """Spill → update → save/load round trip answers like a fresh
         build over the updated cube, for every persistable index."""
-        import io
-
-        from repro.io import load_index, save_index
+        from repro.io import open_index, save_index_manifest
         from repro.query.workload import random_box
 
         cube = _cube_for(name, rng)
@@ -147,10 +145,8 @@ class TestMemmapFlush:
             updates.append(PointUpdate(point, delta))
             mirror[point] += delta
         index.apply_updates(updates)
-        buffer = io.BytesIO()
-        save_index(index, buffer)
-        buffer.seek(0)
-        clone = InstrumentedIndex(load_index(buffer))
+        manifest = save_index_manifest(index, tmp_path / "index.json")
+        clone = InstrumentedIndex(open_index(manifest, mode="c"))
         fresh = InstrumentedIndex(_build(name, mirror))
         for _ in range(10):
             box = random_box(cube.shape, rng)
