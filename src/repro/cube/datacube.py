@@ -239,11 +239,12 @@ class DataCube:
     ) -> int:
         """Incrementally load new fact records (the §5 nightly batch).
 
-        Each record is a measure delta (and a record count) at its cell,
-        applied by the engine when an index is built (every structure
-        stays exact without a rebuild), else by
-        :func:`~repro.core.batch_update.write_batch`; a batch some cell
-        cannot hold exactly raises ``UnfitUpdate`` and changes nothing.
+        Each record is a measure delta (and a record count) at its cell.
+        :func:`~repro.core.batch_update.write_batch` writes the measures
+        (and counts) once, and a built engine absorbs the batch, so
+        every structure stays exact without a rebuild; a batch some
+        cell cannot hold exactly raises ``UnfitUpdate`` and changes
+        nothing.
 
         Args:
             records: New fact records, same schema as ``from_records``.
@@ -266,10 +267,11 @@ class DataCube:
             if self.counts is None
             else [PointUpdate(update.index, 1) for update in updates]
         )
+        changes, count_changes = write_batch(
+            self.measures, updates, self.counts, counted
+        )
         if self._engine is not None:
-            self._engine.apply_updates(updates, counted)
-        else:
-            write_batch(self.measures, updates, self.counts, counted)
+            self._engine.absorb(changes, count_changes)
         return len({update.index for update in updates})
 
     def cuboid(self, names: Sequence[str]) -> DataCube:

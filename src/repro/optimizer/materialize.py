@@ -36,13 +36,12 @@ if TYPE_CHECKING:  # pragma: no cover
 
 @dataclass
 class MaterializedCuboid:
-    """One built cuboid: its key, the prefix structure over it, and
-    whether that structure reads the set's base itself (``shares_base``:
-    a cuboid over every dimension needs no group-by of its own)."""
+    """One built cuboid: its key and the prefix structure over it (a
+    cuboid over every dimension reads the set's base, with no group-by
+    of its own)."""
 
     key: CuboidKey
     structure: BlockedPrefixSumCube
-    shares_base: bool = False
 
     @property
     def block_size(self) -> int:
@@ -55,12 +54,12 @@ class MaterializedCuboidSet:
 
     Args:
         cube: The base measure cube ``A`` (for fallback scans).  The
-            set keeps its own copy, taken through ``backend`` and
-            written by :meth:`apply_updates` — or, through an
-            :class:`~repro.index.AdoptingBackend`, reads the caller's
-            ``A`` itself and leaves writing it to the caller, as after
-            :meth:`rebase`.  A cuboid over every dimension reads the
-            set's ``A`` rather than a copy.
+            set keeps its own copy, taken through ``backend`` — or,
+            through an :class:`~repro.index.AdoptingBackend`, reads the
+            caller's ``A`` itself.  :meth:`apply_updates` writes it;
+            a holder that writes ``A`` itself calls :meth:`absorb`.  A
+            cuboid over every dimension reads the set's ``A`` rather
+            than a copy.
         plan: Materializations to build, e.g. ``SelectionResult.chosen``.
         backend: Array backend every cuboid structure allocates through
             (pass a :class:`~repro.index.MemmapBackend` to spill the
@@ -74,9 +73,6 @@ class MaterializedCuboidSet:
         backend: ArrayBackend | None = None,
     ) -> None:
         cube = np.asarray(cube)
-        #: Whether :meth:`apply_updates` writes ``base`` (a copy the set
-        #: owns) or the caller does (an adopted ``A``).
-        self.owns_base = not isinstance(backend, AdoptingBackend)
         if isinstance(backend, AdoptingBackend):
             scope, self.base = backend.inner, cube
         else:
@@ -101,9 +97,7 @@ class MaterializedCuboidSet:
                 self.base.sum(axis=dropped) if dropped else self.base,
                 backend=scope if dropped else AdoptingBackend(scope),
             )
-            self.cuboids.append(
-                MaterializedCuboid(chosen.key, structure, not dropped)
-            )
+            self.cuboids.append(MaterializedCuboid(chosen.key, structure))
 
     @classmethod
     def from_accumulated(
@@ -119,9 +113,8 @@ class MaterializedCuboidSet:
         every cuboid's group-by cells in one pass over the record stream
         and finalizes each structure in place; this constructor adopts
         those structures — and the base cube, *without* the copy
-        ``__init__`` takes (the set owns and writes it until a
-        :meth:`rebase`) — so an out-of-core build never holds a second
-        ``N``-cell array.
+        ``__init__`` takes — so an out-of-core build never holds a
+        second ``N``-cell array.
 
         Args:
             base: The accumulated base cube (adopted as-is; for spilled
@@ -142,13 +135,12 @@ class MaterializedCuboidSet:
         base = np.asarray(base)
         self = cls.__new__(cls)
         self.base = base
-        self.owns_base = True
         self.shape = tuple(int(n) for n in base.shape)
         self.ndim = base.ndim
         self.backend = backend
         self.plan = plan
         self.cuboids = [
-            MaterializedCuboid(chosen.key, structure, len(chosen.key) == self.ndim)
+            MaterializedCuboid(chosen.key, structure)
             for chosen, structure in zip(plan, structures)
         ]
         return self
@@ -270,21 +262,27 @@ class MaterializedCuboidSet:
     # ------------------------------------------------------------------
 
     def apply_updates(self, updates: Sequence[PointUpdate]) -> None:
-        """Propagate a batch of base-cube point updates to every
+        """Write a batch of base-cube point updates into the base once
+        (:func:`~repro.core.batch_update.write_batch`), then
+        :meth:`absorb` it into every materialized cuboid."""
+        from repro.core.batch_update import write_batch
+
+        write_batch(self.base, updates)
+        self.absorb(updates)
+
+    def absorb(self, updates: Sequence[PointUpdate]) -> None:
+        """Propagate a batch already written into the base to every
         materialized cuboid (§5 run per structure).
 
-        The base is staged and written once
-        (:func:`~repro.core.batch_update.write_batch`), here when the set
-        owns it (else its owner already has).  Each update projects onto
-        a cuboid by dropping the summed-out coordinates; the merged
-        deltas go ``⊕`` into the cuboid's own group-by array, and the
-        structure's ``absorb`` repairs its prefix array.
+        Each update projects onto a cuboid by dropping the summed-out
+        coordinates; the merged deltas go ``⊕`` into the cuboid's own
+        group-by array (a cuboid over every dimension reads the base,
+        which holds them already), and the structure's ``absorb``
+        repairs its prefix array.
         """
-        from repro.core.batch_update import PointUpdate, merge_changes, write_batch
+        from repro.core.batch_update import PointUpdate, merge_changes
         from repro.kernels import resolve_kernel
 
-        if self.owns_base:
-            write_batch(self.base, updates)
         for cuboid in self.cuboids:
             structure = cuboid.structure
             projected = [
@@ -292,7 +290,7 @@ class MaterializedCuboidSet:
                 for u in updates
             ]
             changes = merge_changes(projected, structure.shape, structure.operator)
-            if not cuboid.shares_base:
+            if len(cuboid.key) < self.ndim:
                 deltas = np.array([u.delta for u in changes.updates])
                 resolve_kernel().scatter(
                     structure.source.reshape(-1), changes.flat, deltas,
@@ -301,13 +299,10 @@ class MaterializedCuboidSet:
             structure.absorb(changes)
 
     def rebase(self, base: np.ndarray) -> None:
-        """Hand the base to its owner: read ``base`` — equal to the
-        current base — from now on, in the set and every cuboid that
-        reads the base itself, and leave writing it to the owner (how a
-        served cube adopts a set, and how a set built from a snapshot of
-        the live base is installed over it)."""
+        """Read ``base`` — equal to the current base — from now on, in
+        the set and every cuboid over every dimension (how a set built
+        from a snapshot of the live base is installed over it)."""
         self.base = base
-        self.owns_base = False
         for cuboid in self.cuboids:
-            if cuboid.shares_base:
+            if len(cuboid.key) == self.ndim:
                 cuboid.structure.source = base

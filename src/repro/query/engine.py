@@ -37,7 +37,7 @@ from repro.instrumentation import NULL_COUNTER, AccessCounter
 from repro.query.ranges import RangeQuery, canonical_box
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.core.batch_update import PointUpdate
+    from repro.core.batch_update import CellChanges, PointUpdate
 
 #: The structures an engine builds when none is named.
 DEFAULT_SUM_INDEX = IndexSpec.of("prefix_sum")
@@ -448,11 +448,8 @@ class RangeQueryEngine:
         count_updates: Sequence[PointUpdate] | None = None,
     ) -> None:
         """Write a batch of deltas into the base (and counts) once, then
-        let every route ``absorb`` it into its derived arrays: the sum
-        index's ``P`` from the merged deltas (§5), the trees' levels from
-        each cell's old and new value (§7).  A batch some cell cannot
-        hold exactly is rejected by
-        :func:`~repro.core.batch_update.write_batch` with
+        :meth:`absorb` it.  A batch some cell cannot hold exactly is
+        rejected by :func:`~repro.core.batch_update.write_batch` with
         :class:`~repro.core.batch_update.UnfitUpdate` before the first
         write, so it changes nothing.
 
@@ -464,9 +461,22 @@ class RangeQueryEngine:
         """
         from repro.core.batch_update import write_batch
 
-        changes, count_changes = write_batch(
-            self.base, updates, self.counts, count_updates
-        )
+        self.absorb(*write_batch(self.base, updates, self.counts, count_updates))
+
+    def absorb(
+        self,
+        changes: CellChanges,
+        count_changes: CellChanges | None = None,
+    ) -> None:
+        """Let every route ``absorb`` a batch already written into the
+        base (and counts): the sum index's ``P`` from the merged deltas
+        (§5), the trees' levels from each cell's old and new value (§7).
+
+        Args:
+            changes: The staged measure batch
+                :func:`~repro.core.batch_update.write_batch` returned.
+            count_changes: The staged record-count batch, if any.
+        """
         for name, staged in (
             ("sum", changes), ("max", changes), ("min", changes),
             ("count", count_changes),

@@ -21,16 +21,17 @@ event decay:
   live stream.
 
 ``capacity=None`` with ``decay=1.0`` degenerates to a grow-forever,
-uniformly-weighted log — what ``ServeConfig(logbook_path=...)`` records
-into.  The retained queries serialize to plain JSON
-(:meth:`WorkloadObserver.save` / :meth:`WorkloadObserver.load`) so the
+uniformly-weighted log — what :meth:`WorkloadObserver.load` rebuilds.
+The retained queries serialize to plain JSON
+(:meth:`WorkloadObserver.save` / :meth:`WorkloadObserver.load`; a served
+cube's window is what ``ServeConfig(logbook_path=...)`` writes) so the
 serve → log → re-tune → re-materialize loop can run offline.
 
 .. note::
    ``WorkloadObserver`` deliberately has **no truth value**: it defines
    ``__len__``, so ``if log:`` would silently mean "non-empty", and a
-   zero-traffic log would vanish from ``is it configured?`` checks (the
-   ``save_logbooks`` bug fixed in the serving layer's review).  ``bool``
+   zero-traffic log would vanish from ``is it configured?`` checks (a
+   zero-query logbook once went unsaved that way).  ``bool``
    on an observer raises; write ``log is not None`` for presence and
    ``len(log)`` for traffic.
 """
@@ -198,8 +199,8 @@ class WorkloadObserver:
         """Refuse truthiness outright — it has two plausible meanings.
 
         ``__len__`` would make ``bool(log)`` mean "has entries", which
-        reads identically to the presence check ``if logbook:`` — the
-        exact confusion behind the ``save_logbooks`` zero-traffic bug.
+        reads identically to a presence check ``if log:`` — the
+        confusion that once left a zero-query logbook unsaved.
         """
         raise TypeError(
             "WorkloadObserver has no truth value: use 'log is not None' "

@@ -2,9 +2,9 @@
 
 Stands up a :class:`~repro.serving.QueryService` with one or more
 seeded demo cubes (or whatever shapes you pass via ``--cube``) and
-serves until interrupted.  ``--logbook PATH`` records all served
-traffic in the §9 advisor workload format and writes it on shutdown —
-the *serve → log → re-tune* loop's first leg.
+serves until interrupted.  ``--logbook PATH`` writes each cube's last
+4096 served queries (its observer window) in the §9 advisor workload
+format on shutdown — the *serve → log → re-tune* loop's first leg.
 
 ``--ingest NAME=PATH`` registers a cube built by the streaming
 ingestion subsystem (:mod:`repro.ingest`) from a CSV/Arrow/Parquet
@@ -100,8 +100,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--logbook",
         metavar="PATH",
         default=None,
-        help="record served traffic and write the §9 advisor "
-        "workload JSON here on shutdown",
+        help="write each cube's last 4096 served queries as §9 "
+        "advisor workload JSON here on shutdown",
     )
     parser.add_argument(
         "--coalesce-window-ms",

@@ -28,8 +28,9 @@ than aspirational):
   *live* tiers normally and is also appended to the recording list
   (under the write lock, inside :meth:`QueryService._apply_update`);
 * under the **write lock**: replay the recorded updates into the new
-  set's cuboids, point it at the live base (which already holds them:
-  :meth:`~repro.optimizer.materialize.MaterializedCuboidSet.rebase`),
+  set's cuboids (:meth:`~repro.optimizer.materialize.MaterializedCuboidSet.absorb`:
+  the live base already holds them), point the set at that base
+  (:meth:`~repro.optimizer.materialize.MaterializedCuboidSet.rebase`),
   install it as ``cube.cuboids``, bump the generation, and invalidate
   the result cache.  The write lock drains in-flight reads
   (including coalesced batches running on pool threads), so no reader
@@ -215,7 +216,7 @@ class AdaptiveController:
         async with cube.rwlock.write_locked():
             pending = cube.pending_design_updates or []
             if pending:
-                candidate.apply_updates(pending)
+                candidate.absorb(pending)
             candidate.rebase(cube.base)
             cube.pending_design_updates = None
             superseded = cube.cuboids

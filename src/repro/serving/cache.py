@@ -9,7 +9,7 @@ entry.
 
 Correctness under updates is generation-based: every
 :class:`~repro.serving.service.ServedCube` carries a monotonically
-increasing ``generation`` that ``apply_updates`` bumps.  Entries record
+increasing ``generation`` that every ``/update`` bumps.  Entries record
 the generation they were computed at; a lookup that finds an entry from
 an older generation *evicts it and misses* (counted separately from
 capacity evictions), and an update additionally drops the cube's entries

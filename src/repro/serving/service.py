@@ -106,11 +106,10 @@ class ServeConfig:
             loop.
         executor_workers: Worker threads for the offload pool;
             ``None`` means ``os.cpu_count()``.
-        logbook_path: When set, every registered cube records served
-            traffic to an unbounded, uniform-weight
-            :class:`~repro.query.observer.WorkloadObserver` and
-            :meth:`QueryService.save_logbooks` writes them next to this
-            path (the §9 advisor workload format).
+        logbook_path: When set, :meth:`QueryService.save_logbooks`
+            writes each cube's live observer window (its last
+            :data:`OBSERVER_CAPACITY` queries) next to this path, in
+            the §9 advisor workload format.
         observer_decay: Per-event decay of the observer window (``1.0``
             weights all retained traffic equally).
         adaptive_interval_s: Seconds between
@@ -152,7 +151,6 @@ class ServedCube:
     generation: int = 0
     queries: int = 0
     updates_applied: int = 0
-    logbook: WorkloadObserver | None = None
     #: Audit trail of adaptive plan swaps (the ``/design`` view).
     swap_history: list[dict] = field(default_factory=list)
     #: Non-None while an adaptive rebuild is in flight: every update
@@ -257,7 +255,9 @@ class QueryService:
                 building one from ``plan`` (mutually exclusive with
                 ``plan``), e.g. ``IngestResult.cuboid_set``.  When
                 ``cube`` is passed too, registration verifies the set's
-                base equals it cell-for-cell and rejects a mismatch.
+                base equals it cell-for-cell and rejects a mismatch.  A
+                set whose base another registered cube already serves is
+                rejected: each served cube writes its own base.
         """
         if not name or "/" in name:
             raise ValueError(f"cube name {name!r} must be non-empty, no '/'")
@@ -280,11 +280,16 @@ class QueryService:
             base = np.array(cube, copy=True)
         else:
             base = cuboid_set.base
+            # Each served cube writes its base; a second owner would
+            # write it behind the first one's engine.
+            for other in self.cubes.values():
+                if np.shares_memory(base, other.base):
+                    raise ValueError(
+                        f"cuboid_set's base is already served as cube "
+                        f"{other.name!r}; register a set once"
+                    )
             if cube is not None:
                 _check_same_cells(cube, base, "cube=")
-            # The served cube owns the base from here on: it writes each
-            # update once and the set maintains only its cuboids.
-            cuboid_set.rebase(base)
         held_counts = None if counts is None else np.array(counts, copy=True)
         counter = AccessCounter()
         engine: RangeQueryEngine | None = None
@@ -321,10 +326,6 @@ class QueryService:
             ),
             design_backend=backend,
         )
-        if self.config.logbook_path is not None:
-            served.logbook = WorkloadObserver(
-                served.shape, capacity=None, decay=1.0
-            )
         self.cubes[name] = served
         return served
 
@@ -605,9 +606,6 @@ class QueryService:
                 "updates_applied": cube.updates_applied,
                 "tiers": tier_stats.get(name, {}),
                 "access_counts": cube.counter.snapshot(),
-                "logbook_entries": (
-                    None if cube.logbook is None else len(cube.logbook)
-                ),
             }
         return {
             "uptime_s": time.time() - self.started_at,
@@ -707,8 +705,6 @@ class QueryService:
                 cube.name, tier, time.perf_counter() - started
             )
             self.cache.put(key, generation, value)
-        if cube.logbook is not None:
-            cube.logbook.observe_box(box)
         cube.observer.observe_box(box, op)
         cube.queries += 1
         response = {
@@ -751,9 +747,6 @@ class QueryService:
         self.router.record(
             cube.name, tier, time.perf_counter() - started
         )
-        if cube.logbook is not None:
-            for box in boxes:
-                cube.logbook.observe_box(box)
         for box in boxes:
             cube.observer.observe_box(box, op)
         cube.queries += len(boxes)
@@ -808,17 +801,17 @@ class QueryService:
         count_updates: list[PointUpdate] | None,
     ) -> dict:
         def run() -> None:
-            # The base (and counts) is staged and written once under this
-            # write lock — by the engine, which builds every route over
-            # it, or here when there is none — and an unfit batch is
-            # rejected before that write.  The materialized set never
-            # writes the served base; it maintains only its cuboids.
+            # The served cube writes its base (and counts) once under
+            # this write lock, after staging rejects an unfit batch; the
+            # engine and the cuboid set only absorb it into their
+            # derived arrays.
+            changes, count_changes = write_batch(
+                cube.base, updates, cube.counts, count_updates
+            )
             if cube.engine is not None:
-                cube.engine.apply_updates(updates, count_updates)
-            else:
-                write_batch(cube.base, updates, cube.counts, count_updates)
+                cube.engine.absorb(changes, count_changes)
             if cube.cuboids is not None:
-                cube.cuboids.apply_updates(updates)
+                cube.cuboids.absorb(updates)
 
         # The write lock drains in-flight offloaded/coalesced reads
         # first, so no reader can observe the tiers torn mid-batch; the
@@ -940,34 +933,26 @@ class QueryService:
     # ------------------------------------------------------------------
 
     def save_logbooks(self) -> list[str]:
-        """Write every cube's query log (§9 advisor workload format).
+        """Write every cube's observer window (§9 advisor workload
+        format): its last :data:`OBSERVER_CAPACITY` queries.
 
-        A single cube with a logbook configured writes exactly
-        ``logbook_path``; with several, each writes
-        ``<stem>-<cube><suffix>``.  The decision is based on how many
-        cubes *carry* logbooks, not which received traffic — a
-        zero-query logbook still writes (the filter is an ``is not
-        None`` check; an observer has no truth value), and in a
-        multi-cube service the bare path is never ambiguously claimed by
-        whichever cube happened to see load.  Returns the written paths.
+        A single registered cube writes exactly ``logbook_path``; with
+        several, each writes ``<stem>-<cube><suffix>``, whether or not
+        it saw traffic, so the bare path is never claimed by whichever
+        cube happened to see load.  Returns the written paths.
         """
         path = self.config.logbook_path
         if path is None:
             return []
-        logged = [
-            cube
-            for cube in self.cubes.values()
-            if cube.logbook is not None
-        ]
-        written = []
-        if len(logged) == 1:
-            logged[0].logbook.save(path)  # type: ignore[union-attr]
-            written.append(path)
-            return written
+        if len(self.cubes) == 1:
+            (cube,) = self.cubes.values()
+            cube.observer.save(path)
+            return [path]
         stem, suffix = os.path.splitext(path)
-        for cube in logged:
+        written = []
+        for cube in self.cubes.values():
             target = f"{stem}-{cube.name}{suffix or '.json'}"
-            cube.logbook.save(target)  # type: ignore[union-attr]
+            cube.observer.save(target)
             written.append(target)
         return written
 
@@ -1030,7 +1015,7 @@ def _parse_region(
     is a singleton, and ``[lo, hi]`` is an inclusive range.  Empty
     ranges (``hi < lo``) are legal under the normative empty-range rule
     but have no :class:`RangeQuery` spelling, so they come back as the
-    box alone (``None`` query — skipping §9 routing and the logbook's
+    box alone (``None`` query — skipping §9 routing and the observer's
     cuboid classification, neither of which an empty region informs).
     """
     ndim = len(shape)

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from pathlib import Path
 
+import pytest
+
 from repro.analysis.engine import lint_source
 from repro.analysis.rules.lock_discipline import LockDisciplineRule
 
@@ -21,13 +23,19 @@ def test_bad_fixture_flags_every_seeded_shape():
     assert rule_lines(report, RULE_ID) == [6, 9, 15, 18, 21]
 
 
-def test_unlocked_write_batch_is_flagged():
-    """``write_batch`` — the one write of a cube without an engine — is a
-    tier mutation like ``apply_updates``: it needs the write side."""
+@pytest.mark.parametrize(
+    "mutation",
+    ["write_batch(cube.base, updates)", "cube.engine.absorb(changes)"],
+    ids=["write_batch", "absorb"],
+)
+def test_unlocked_write_is_flagged(mutation):
+    """``write_batch`` — the one write of a served cube's base — and the
+    ``absorb`` that repairs a tier's derived arrays from it are tier
+    mutations like ``apply_updates``: each needs the write side."""
     source = (
         "class Service:\n"
-        "    async def unlocked_write(self, cube, updates):\n"
-        "        write_batch(cube.base, updates)\n"
+        "    async def unlocked_write(self, cube, updates, changes):\n"
+        f"        {mutation}\n"
     )
     report = lint_source(
         "src/repro/serving/service.py", source, [LockDisciplineRule()]
